@@ -80,14 +80,17 @@ def solve_dual(inst: ProblemInstance, max_iters: int = 300, tol: float = 1e-9,
     value meets the primal value under strong duality; scaled minimally to
     repair residual infeasibility, then polished by projected subgradient
     steps on the exact penalty value + mu * max(0, -lambda_min), keeping the
-    best feasible iterate.
+    best feasible iterate.  The solve runs on A / max |A_ij|, and s, t and
+    the value are scaled back (feasibility is invariant under scaling A, s
+    and t together), so any finite scale works.
     """
-    A = inst.A
-    m, n = A.shape
+    m, n = inst.shape
     if max(m, n) > 200:
         raise DomainError("dense eigensolves support instances up to 200x200")
     if primal is None:
         primal = solve_cp(inst, seed=seed)
+    amax = float(np.max(np.abs(inst.A))) or 1.0
+    A = inst.A / amax
     U, V = primal.U, primal.V
     row_zero = np.all(A == 0.0, axis=1)
     col_zero = np.all(A == 0.0, axis=0)
@@ -140,7 +143,7 @@ def solve_dual(inst: ProblemInstance, max_iters: int = 300, tol: float = 1e-9,
             f"dual solver failed to reach feasibility; minimum eigenvalue {lam:.3e}",
             dump={"s": s, "t": t},
         )
-    return DualSolution(s=s, t=t, value=val, min_eigenvalue=lam,
+    return DualSolution(s=amax * s, t=amax * t, value=amax * val, min_eigenvalue=lam,
                         primal_value=primal.value)
 
 
@@ -194,7 +197,7 @@ def build_certificate(inst: ProblemInstance, s: np.ndarray, t: np.ndarray,
     recon = np.sqrt(s)[:, None] * B * np.sqrt(t)[None, :]
     reconstruction_error = float(np.max(np.abs(recon - A)))
     alpha, beta = _outer_exponents(inst.pair)
-    norm_product = math.sqrt(lp_norm(t, beta) * lp_norm(s, alpha))
+    norm_product = math.sqrt(lp_norm(t, beta)) * math.sqrt(lp_norm(s, alpha))
     return FactorizationCertificate(
         s=s, t=t, B=B,
         dual_value=dual_value(inst.pair, s, t),

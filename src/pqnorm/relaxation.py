@@ -44,91 +44,131 @@ class RelaxationSolution:
 
 
 def lp_norm(x: np.ndarray, r: float) -> float:
+    """||x||_r, computed on x / max|x_i| so that x ** r cannot overflow or
+    underflow for any finite x."""
     x = np.abs(np.asarray(x, dtype=np.float64))
-    if math.isinf(r):
-        return float(np.max(x)) if x.size else 0.0
-    return float(np.sum(x ** r) ** (1.0 / r))
+    top = float(np.max(x)) if x.size else 0.0
+    if math.isinf(r) or top == 0.0:
+        return top
+    return top * float(np.sum((x / top) ** r) ** (1.0 / r))
 
 
-def _rows_normalized(W):
-    norms = np.linalg.norm(W, axis=1)
-    out = np.zeros_like(W)
-    nz = norms > 0
-    out[nz] = W[nz] / norms[nz, None]
-    return out, norms
+def unit_rows(W: np.ndarray):
+    """W scaled to unit length along its last axis, and those lengths.
+
+    Works on a single (rows, d) matrix and on stacks such as (rows, R, d);
+    zero rows stay zero.
+    """
+    norms = np.linalg.norm(W, axis=-1)
+    return W / np.where(norms > 0, norms, 1.0)[..., None], norms
 
 
 def _block_update(W: np.ndarray, r_constraint: float, r_value: float):
     """Maximize sum_i <x^i, w^i> over sum_i ||x^i||^r_constraint <= 1.
 
+    W is a (rows, R, d) stack of R independent problems, one per restart.
     The optimum aligns x^i with w^i and distributes lengths by Holder
-    duality; the achieved objective is the r_value-norm of the row norms
-    (1/r_constraint + 1/r_value = 1).  For r_constraint = inf every row
-    saturates length 1.
+    duality; the achieved objective, one per problem, is the r_value-norm of
+    the row norms (1/r_constraint + 1/r_value = 1).  For r_constraint = inf
+    every row saturates length 1.
     """
-    Wn, norms = _rows_normalized(W)
+    Wn, norms = unit_rows(W)
     if math.isinf(r_constraint):
-        return Wn, float(np.sum(norms))
-    total = np.sum(norms ** r_value)
-    if total == 0.0:
-        return np.zeros_like(W), 0.0
-    lam = norms ** (r_value - 1.0) / total ** (1.0 / r_constraint)
-    return lam[:, None] * Wn, float(total ** (1.0 / r_value))
+        return Wn, np.sum(norms, axis=0)
+    total = np.sum(norms ** r_value, axis=0)
+    live = total > 0.0
+    safe = np.where(live, total, 1.0)
+    lam = np.where(live, norms ** (r_value - 1.0) / safe ** (1.0 / r_constraint), 0.0)
+    return lam[..., None] * Wn, total ** (1.0 / r_value)
 
 
-def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 16,
+def _initial_V(rng, n: int, d: int, p: float) -> np.ndarray:
+    """Gaussian start scaled feasible for sum ||v^j||^p <= 1."""
+    V = rng.standard_normal((n, d))
+    Vn, norms = unit_rows(V)
+    return Vn if math.isinf(p) else V / lp_norm(norms, p)
+
+
+def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 4,
              max_iters: int = 10_000, tol: float = 1e-10, seed: int = 0) -> RelaxationSolution:
     """Alternating maximization of <A, U V^T> under the row-norm power
     constraints sum ||u^i||^{q*} <= 1 and sum ||v^j||^p <= 1.
 
     Each block update is the exact Holder-dual optimum, so the objective is
-    nondecreasing along iterations; the best run over deterministic seeded
-    restarts is returned.  d defaults to m + n.
+    nondecreasing along iterations.  The relaxation is convex for
+    p, q* >= 2, so it has an optimal solution of rank about sqrt(2(m+n)),
+    and a Burer-Monteiro factorization of that rank reaches the optimum: d
+    defaults to min(m+n, ceil(sqrt(2(m+n))) + 1).
+
+    Restart r starts from the seed stream SeedSequence(seed, spawn_key=(r,)).
+    All restarts still running are stacked, so each half-step A V and A^T U
+    is one matrix product over the stack; a restart is frozen once its
+    objective stalls (gain below tol relative), and the best one is
+    returned, with the iterations, convergence flag and objective trace of
+    that restart.  A is divided by max |A_ij| for the solve and the value
+    and trace are scaled back, so any finite scale works; U and V do not
+    depend on the scale.
     """
-    A = inst.A
-    m, n = A.shape
+    m, n = inst.shape
     p, qs = inst.pair.p, inst.pair.q_star
     q = inst.pair.q
     ps = inst.pair.p_star
+    if restarts < 1:
+        raise DomainError(f"restart count must be at least 1, got {restarts}")
     if d is None:
-        d = m + n
-    if np.all(A == 0.0):
+        d = min(m + n, math.ceil(math.sqrt(2 * (m + n))) + 1)
+    scale = float(np.max(np.abs(inst.A)))
+    if scale == 0.0:
         return RelaxationSolution(U=np.zeros((m, d)), V=np.zeros((n, d)), value=0.0,
                                   converged=True, iterations=0,
                                   objective_trace=np.zeros(1))
+    A = inst.A / scale
+    # stacks are (rows, restart, d), so a stack is one (rows, R*d) matrix
+    V = np.stack([_initial_V(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,))), n, d, p)
+        for r in range(restarts)], axis=1)
+    U = np.zeros((m, restarts, d))
+    active = np.arange(restarts)
+    traces = [[] for _ in range(restarts)]
+    final = [None] * restarts
+    obj_prev = np.full(restarts, -math.inf)
+    for it in range(max_iters):
+        R = active.size
+        U, obj_u = _block_update((A @ V.reshape(n, R * d)).reshape(m, R, d), qs, q)
+        V, obj = _block_update((A.T @ U.reshape(m, R * d)).reshape(n, R, d), p, ps)
+        bad = ~(np.isfinite(obj_u) & np.isfinite(obj))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NumericalError("non-finite objective in alternating solver",
+                                 dump={"U": U[:, k], "V": V[:, k], "iteration": it,
+                                       "restart": int(active[k])})
+        size = np.maximum(1.0, np.abs(obj))
+        fell = obj < obj_prev - 1e-9 * size
+        if fell.any():
+            k = int(np.argmax(fell))
+            raise NumericalError("objective decreased across a block update",
+                                 dump={"U": U[:, k], "V": V[:, k], "iteration": it,
+                                       "restart": int(active[k])})
+        for r, o in zip(active, obj):
+            traces[r].append(o)
+        stalled = obj - obj_prev < tol * size
+        for k in np.flatnonzero(stalled):
+            final[active[k]] = (U[:, k], V[:, k], True)
+        keep = ~stalled
+        if not keep.any():
+            break
+        active, U, V, obj_prev = active[keep], U[:, keep], V[:, keep], obj[keep]
+    else:
+        for k, r in enumerate(active):
+            final[r] = (U[:, k], V[:, k], False)
     best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        V = rng.standard_normal((n, d))
-        # scale V feasible for the p-constraint
-        if math.isinf(p):
-            V, _ = _rows_normalized(V)
-        else:
-            V /= np.sum(np.linalg.norm(V, axis=1) ** p) ** (1.0 / p)
-        trace = []
-        obj_prev = -math.inf
-        converged = False
-        U = np.zeros((m, d))
-        for it in range(max_iters):
-            U, obj_u = _block_update(A @ V, qs, q)
-            V, obj = _block_update(A.T @ U, p, ps)
-            if not (math.isfinite(obj_u) and math.isfinite(obj)):
-                raise NumericalError("non-finite objective in alternating solver",
-                                     dump={"U": U, "V": V, "iteration": it})
-            if obj < obj_prev - 1e-9 * max(1.0, abs(obj)):
-                raise NumericalError("objective decreased across a block update",
-                                     dump={"U": U, "V": V, "iteration": it})
-            trace.append(obj)
-            if obj - obj_prev < tol * max(1.0, abs(obj)):
-                converged = True
-                break
-            obj_prev = obj
-        value = float(np.sum(A * (U @ V.T)))
-        sol = RelaxationSolution(U=U, V=V, value=value, converged=converged,
-                                 iterations=len(trace),
-                                 objective_trace=np.asarray(trace))
-        if best is None or sol.value > best.value:
-            best = sol
+    for (Ur, Vr, converged), trace in zip(final, traces):
+        value = float(np.sum(A * (Ur @ Vr.T))) * scale
+        if best is None or value > best.value:
+            best = RelaxationSolution(U=np.ascontiguousarray(Ur), V=np.ascontiguousarray(Vr),
+                                      value=value, converged=converged,
+                                      iterations=len(trace),
+                                      objective_trace=np.asarray(trace) * scale)
     return best
 
 

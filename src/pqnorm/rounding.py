@@ -10,7 +10,7 @@ import numpy as np
 from . import series
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, f_bar_series
-from .relaxation import ProblemInstance, RelaxationSolution
+from .relaxation import ProblemInstance, RelaxationSolution, unit_rows
 from .specfun import gaussian_moment_pow
 
 _REPAIR_LIMIT = 1e-6
@@ -98,13 +98,6 @@ def build_transformed_gram(sol: RelaxationSolution, pair: NormPair, c_ab: float,
     g = series.revert(fs).odd_compressed()
     absg = np.abs(g)
 
-    def unit_rows(W):
-        norms = np.linalg.norm(W, axis=1)
-        out = np.zeros_like(W)
-        nz = norms > 0
-        out[nz] = W[nz] / norms[nz, None]
-        return out, norms
-
     Uh, u_norms = unit_rows(sol.U)
     Vh, v_norms = unit_rows(sol.V)
     m, n = Uh.shape[0], Vh.shape[0]
@@ -166,6 +159,8 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, sol: RelaxationSolu
     """Sample the rounding: Gaussian projections of the Gram factor rows,
     Holder-dual maps, normalization to the unit spheres, best and mean of
     y^T A x across samples.  Deterministic for fixed seed and sample count."""
+    if num_samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {num_samples}")
     A, pair = inst.A, tg.pair
     m = tg.m
     Lu = tg.factor[:m] * tg.scale_pow("u", 1.0)[:, None]
@@ -247,17 +242,10 @@ def rounding_identity_stats(inst: ProblemInstance, tg: TransformedGram,
     num_mean = prod.mean(axis=0)
     num_se = prod.std(axis=0) / math.sqrt(num_samples)
 
-    def unit_rows(W):
-        norms = np.linalg.norm(W, axis=1)
-        out = np.zeros_like(W)
-        nz = norms > 0
-        out[nz] = W[nz] / norms[nz, None]
-        return out
-
     su = tg.u_norms if b > 0 else np.ones(m)
     sv = tg.v_norms if a > 0 else np.ones(n)
     gam = gaussian_moment_pow(ps) * gaussian_moment_pow(q)
-    ref = gam * tg.c_ab * (su[:, None] * (unit_rows(sol.U) @ unit_rows(sol.V).T) * sv[None, :])
+    ref = gam * tg.c_ab * (su[:, None] * (unit_rows(sol.U)[0] @ unit_rows(sol.V)[0].T) * sv[None, :])
 
     qn = np.sum(np.abs(P) ** q, axis=1) ** (1.0 / q)
     pn = np.sum(np.abs(Q) ** ps, axis=1) ** (1.0 / ps)

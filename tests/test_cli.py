@@ -22,6 +22,12 @@ def eye_json(tmp_path):
     return str(path)
 
 
+def scaled_ones_csv(tmp_path, c):
+    path = tmp_path / "ones.csv"
+    path.write_text("\n".join([",".join([repr(c)] * 4)] * 4) + "\n")
+    return str(path)
+
+
 def run_main(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -92,6 +98,21 @@ class TestRound:
                             "--tol", "1e-13", "--samples", "100"], capsys)
         assert code == 3
 
+    def test_zero_samples_is_exit_2(self, sign_csv, capsys):
+        code, _ = run_main(["round", "--in", sign_csv, "--samples", "0"], capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_extreme_scale(self, c, tmp_path, capsys):
+        # ||c J||_{inf->1} = 16 c for the 4x4 ones matrix J, and the
+        # relaxation is tight on rank one
+        code, out = run_main(["round", "--in", scaled_ones_csv(tmp_path, c),
+                              "--samples", "200"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["cp_value"] == pytest.approx(16.0 * c, rel=1e-12, abs=0.0)
+        assert rec["best_value"] == pytest.approx(16.0 * c, rel=1e-12, abs=0.0)
+
 
 class TestFactorize:
     def test_identity(self, eye_json, capsys):
@@ -101,6 +122,19 @@ class TestFactorize:
         assert rec["spectral_norm_B"] <= 1.0 + 1e-6
         assert rec["reconstruction_error"] < 1e-8
         assert rec["duality_gap"] <= 1e-4 * rec["dual_value"]
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    @pytest.mark.parametrize("p,q,norm", [("inf", "1", 16.0), ("4", "1.3333333333333333", 8.0)])
+    def test_extreme_scale(self, c, p, q, norm, tmp_path, capsys):
+        code, out = run_main(["factorize", "--in", scaled_ones_csv(tmp_path, c),
+                              "--p", p, "--q", q], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["primal_value"] == pytest.approx(norm * c, rel=1e-12, abs=0.0)
+        assert rec["spectral_norm_B"] <= 1.0 + 1e-9
+        assert rec["primal_value"] * (1.0 - 1e-12) <= rec["dual_value"]
+        assert rec["duality_gap"] <= 1e-4 * rec["dual_value"]
+        assert rec["norm_product"] <= rec["dual_value"] * (1.0 + 1e-12)
 
     def test_invalid_pair(self, eye_json, capsys):
         code, _ = run_main(["factorize", "--in", eye_json, "--p", "1.5", "--q", "1"], capsys)

@@ -97,6 +97,51 @@ class TestSolveCP:
         assert sol.value == 0.0 and sol.converged
 
 
+class TestLowRankBatched:
+    @pytest.mark.parametrize("m,n", [(30, 40), (6, 5), (2, 2), (1, 3), (1, 1)])
+    def test_default_rank(self, m, n):
+        A = np.random.default_rng(m * n).standard_normal((m, n))
+        sol = solve_cp(ProblemInstance(A, NormPair(4.0, 4.0 / 3.0)))
+        rank = min(m + n, math.ceil(math.sqrt(2 * (m + n))) + 1)
+        assert sol.U.shape == (m, rank) and sol.V.shape == (n, rank)
+
+    @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0), (3.0, 1.5)])
+    def test_default_matches_full_rank(self, p, q):
+        A = np.random.default_rng(30_40).standard_normal((30, 40))
+        inst = ProblemInstance(A, NormPair(p, q))
+        full = solve_cp(inst, d=70, restarts=16)
+        low = solve_cp(inst)
+        assert low.converged and full.converged
+        assert low.value == pytest.approx(full.value, rel=1e-8)
+
+    @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0)])
+    def test_more_restarts_never_worse(self, p, q):
+        A = np.random.default_rng(8).standard_normal((9, 7))
+        inst = ProblemInstance(A, NormPair(p, q))
+        for seed in range(4):
+            one = solve_cp(inst, restarts=1, seed=seed).value
+            four = solve_cp(inst, restarts=4, seed=seed).value
+            # restart 0 runs the same stream in both; stacking it with three
+            # more may change the rounding of its matrix products
+            assert four >= one * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0), (2.0, 2.0)])
+    def test_trace_describes_winner(self, p, q):
+        A = np.random.default_rng(3).standard_normal((12, 10))
+        sol = solve_cp(ProblemInstance(A, NormPair(p, q)), seed=5)
+        assert len(sol.objective_trace) == sol.iterations
+        assert sol.objective_trace[-1] == pytest.approx(sol.value, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_invariance(self, scale):
+        A = np.random.default_rng(7).standard_normal((6, 5))
+        pair = NormPair(4.0, 4.0 / 3.0)
+        base = solve_cp(ProblemInstance(A, pair))
+        scaled = solve_cp(ProblemInstance(scale * A, pair))
+        assert scaled.value == pytest.approx(scale * base.value, rel=1e-12, abs=0.0)
+        assert np.allclose(scaled.U, base.U, rtol=1e-12, atol=1e-14)
+
+
 class TestBruteForce:
     def test_sign_matrix_enumeration(self):
         inst = ProblemInstance(SIGN2, NormPair(math.inf, 1.0))
