@@ -1,7 +1,7 @@
 """Certified approximation bounds and Gaussian Holder-dual rounding for
 p->q operator norms."""
 
-from ._kernels import BACKEND, NUMBA_ENABLED
+from ._kernels import BACKEND
 from .errors import AccuracyError, CertificationError, DomainError, NumericalError
 from .krivine import NormPair, approx_ratio, compute_c_ab
 from .relaxation import ProblemInstance, brute_force_norm, solve_cp
@@ -17,7 +17,6 @@ __all__ = [
     "DomainError",
     "NormPair",
     "NumericalError",
-    "NUMBA_ENABLED",
     "ProblemInstance",
     "TruncatedSeries",
     "approx_ratio",

@@ -1,16 +1,11 @@
-"""Hot numeric kernels: batched reversion of odd power series.
+"""Hot numeric kernel: batched reversion of odd power series.
 
 Grid certification reverts one truncated series per (a, b) grid point, which
-dominates the runtime of the whole pipeline.  The kernels therefore exist in
-two interchangeable implementations:
+dominates the runtime of the certification commands.  The kernel is pure
+numpy, vectorised across the batch dimension; the loops run over the series
+order only.
 
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy version vectorised across the batch dimension.
-
-Set ``PQNORM_NO_NUMBA=1`` in the environment to force the numpy path.
-``benchmarks/bench_kernels.py`` times one against the other.
-
-All kernels work in the compressed representation of an odd series: the
+The kernel works in the compressed representation of an odd series: the
 series ``f(rho) = sum_m F[m] * rho**(2m+1)`` is stored as the coefficient
 array ``F`` of ``F(w) = f(sqrt(w))/sqrt(w)`` in the variable ``w = rho**2``.
 Reversion solves ``G(H(w)) = 1/F(w)`` with ``H(w) = w*F(w)**2``, which is the
@@ -18,76 +13,24 @@ compressed form of ``g(f(rho)) = rho``; the inverse series is then
 ``f^{-1}(y) = sum_m G[m] * y**(2m+1)``.
 """
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("PQNORM_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by PQNORM_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+#: the one kernel implementation, recorded in benchmark machine records
+BACKEND = "numpy"
 
 
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+def revert_odd_batch(F):
+    """Invert a batch of odd series given in compressed form.
 
-
-@njit(cache=True)
-def _revert_odd_batch_jit(F):
-    B, Mp1 = F.shape
-    M = Mp1 - 1
-    G = np.zeros((B, Mp1))
-    for r in range(B):
-        f = F[r]
-        # reciprocal R = 1/F
-        R = np.zeros(Mp1)
-        R[0] = 1.0 / f[0]
-        for m in range(1, Mp1):
-            s = 0.0
-            for j in range(1, m + 1):
-                s += f[j] * R[m - j]
-            R[m] = -s / f[0]
-        # H = w * F^2, stored with H[0] = 0
-        H = np.zeros(Mp1)
-        for m in range(M):
-            s = 0.0
-            for j in range(m + 1):
-                s += f[j] * f[m - j]
-            H[m + 1] = s
-        # triangular solve of G(H(w)) = R(w); P walks through powers of H
-        G[r, 0] = R[0]
-        acc = np.zeros(Mp1)
-        P = H.copy()
-        for j in range(1, Mp1):
-            G[r, j] = (R[j] - acc[j]) / P[j]
-            gj = G[r, j]
-            for m in range(j + 1, Mp1):
-                acc[m] += gj * P[m]
-            if j < M:
-                newP = np.zeros(Mp1)
-                for m in range(j + 1, Mp1):
-                    s = 0.0
-                    for i in range(j, m):
-                        s += P[i] * H[m - i]
-                    newP[m] = s
-                P = newP
-    return G
-
-
-def _revert_odd_batch_np(F):
+    ``F`` has shape (B, M+1) with ``F[:, 0] != 0``; row ``r`` encodes
+    ``f(rho) = sum_m F[r, m] rho**(2m+1)``.  Returns ``G`` of the same shape
+    with ``f^{-1}(y) = sum_m G[r, m] y**(2m+1)`` up to order ``2M+1``.
+    """
+    F = np.ascontiguousarray(F, dtype=np.float64)
+    if F.ndim != 2:
+        raise ValueError("expected a 2-d batch of compressed coefficients")
+    if np.any(F[:, 0] == 0.0):
+        raise ValueError("leading compressed coefficient must be nonzero")
     B, Mp1 = F.shape
     M = Mp1 - 1
     R = np.zeros_like(F)
@@ -112,23 +55,6 @@ def _revert_odd_batch_np(F):
                 newP[:, m] = np.einsum("bj,bj->b", P[:, j:m], H[:, m - j : 0 : -1])
             P = newP
     return G
-
-
-def revert_odd_batch(F):
-    """Invert a batch of odd series given in compressed form.
-
-    ``F`` has shape (B, M+1) with ``F[:, 0] != 0``; row ``r`` encodes
-    ``f(rho) = sum_m F[r, m] rho**(2m+1)``.  Returns ``G`` of the same shape
-    with ``f^{-1}(y) = sum_m G[r, m] y**(2m+1)`` up to order ``2M+1``.
-    """
-    F = np.ascontiguousarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise ValueError("expected a 2-d batch of compressed coefficients")
-    if np.any(F[:, 0] == 0.0):
-        raise ValueError("leading compressed coefficient must be nonzero")
-    if NUMBA_ENABLED:
-        return _revert_odd_batch_jit(F)
-    return _revert_odd_batch_np(F)
 
 
 def revert_odd(coeffs_w):

@@ -148,16 +148,17 @@ def _suite_identities(args):
 
 
 def _suite_conditions(args):
-    rep = krivine.check_conditions(k_max=29, grid=args.grid, K=args.order)
+    cg = krivine.inverse_coeff_grid(args.grid, args.order)  # one reversion for all three
+    rep = krivine.check_conditions(k_max=29, grid=cg, K=args.order)
     for m in rep.margins:
         yield _check(f"{m.kind}(k={m.k})", m.passed, worst_margin=m.worst_margin,
                      at_a=m.at_a, at_b=m.at_b)
-    cert = krivine.certify_defect(grid=args.grid, K=args.order)
+    cert = krivine.certify_defect(grid=cg, K=args.order)
     yield _check("defect-certificate", cert.ok, h_err_max=cert.h_err_max,
                  rho_certified=cert.rho_certified,
                  hhat_at_rho_max=cert.hhat_at_rho_max)
     x0 = math.asinh(1.0) / 1.00863
-    worst = krivine.hhat_grid_max(x0, grid=args.grid, K=args.order)
+    worst = krivine.hhat_grid_max(x0, grid=cg, K=args.order)
     yield _check("hhat-at-certified-point", worst <= 1.0 + 1e-9, x0=x0, max_hhat=worst)
 
 

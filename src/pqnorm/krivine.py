@@ -3,7 +3,7 @@ approximation ratios, coefficient conditions, and the defect certificate."""
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -186,17 +186,37 @@ def _grid_points(grid):
     return a.ravel(), b.ravel()
 
 
-def inverse_coeff_grid(grid, K: int = CERT_ORDER):
-    """Inverse-series coefficients for every grid point.
+class CoeffGrid(NamedTuple):
+    """Inverse-series coefficients on an (a, b) grid: G[i, m] is the
+    coefficient of y^(2m+1) in the inverse series at (a[i], b[i])."""
 
-    Returns (a, b, G) where G[i, m] is the coefficient of y^(2m+1) in the
-    inverse series at (a[i], b[i]).
+    a: np.ndarray
+    b: np.ndarray
+    G: np.ndarray
+
+
+def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
+    """Inverse-series coefficients for every grid point, as a CoeffGrid.
+
+    The certification functions below accept the result wherever they accept
+    ``grid``, so one reversion can serve several of them.
     """
+    if K < 1:
+        raise DomainError("order K must be >= 1")
     a, b = _grid_points(grid)
     M = (K - 1) // 2
     F = f_bar_w_coeffs(a, b, M).reshape(a.size, M + 1)
-    G = _kernels.revert_odd_batch(F)
-    return a, b, G
+    return CoeffGrid(a, b, _kernels.revert_odd_batch(F))
+
+
+def _coeff_grid(grid, K: int) -> CoeffGrid:
+    """``grid`` itself if it is a CoeffGrid of order K, else its reversion."""
+    if not isinstance(grid, CoeffGrid):
+        return inverse_coeff_grid(grid, K)
+    if grid.G.shape[1] != (K - 1) // 2 + 1:
+        raise DomainError(f"coefficient grid has {grid.G.shape[1]} odd terms, "
+                          f"order K={K} needs {(K - 1) // 2 + 1}")
+    return grid
 
 
 @dataclass
@@ -230,7 +250,7 @@ def check_conditions(k_max: int = 29, grid=101, K: int = CERT_ORDER) -> Conditio
     """
     if k_max > K:
         raise DomainError("k_max must not exceed the truncation order")
-    a, b, G = inverse_coeff_grid(grid, K)
+    a, b, G = _coeff_grid(grid, K)
     margins = []
     all_pass = True
     for k in range(1, k_max + 1, 2):
@@ -265,30 +285,49 @@ class DefectCertificate:
 def _odd_tail_estimate(absG: np.ndarray, x: float) -> np.ndarray:
     """Row-wise geometric tail for sum_{m>M} absG[:, m] x^(2m+1).
 
-    Same fit as :func:`pqnorm.series.tail_estimate`, vectorised across grid
-    rows in the compressed (w = x^2) representation: entries below the noise
-    floor of the reversion are not used as ratio data.
+    The ratio fit of :func:`pqnorm.series.tail_estimate`, vectorised across
+    grid rows in the compressed (w = x^2) representation, so the geometric
+    tail runs over odd degrees only.  Entries below the noise floor of the
+    reversion are not used as ratio data.  The ratio per w-degree is the
+    largest gap ratio among each row's last <= 10 significant entries; the
+    tail is inf when that ratio times x^2 reaches 1, and 0 for rows with
+    fewer than two significant entries.
     """
     B, Mp1 = absG.shape
     M = Mp1 - 1
     top = np.max(absG, axis=1)
     thresh = 1e-14 * np.maximum(top, 1e-300)
-    sig = absG >= thresh[:, None]
-    tails = np.zeros(B)
-    for r in range(B):
-        idx = np.flatnonzero(sig[r])
-        if idx.size < 2:
-            continue
-        idx = idx[-10:]
-        vals = absG[r, idx]
-        ratios = (vals[1:] / vals[:-1]) ** (1.0 / np.diff(idx))
-        rw = float(np.max(ratios)) * x * x  # per-w-degree ratio times x^2
-        if rw >= 1.0:
-            tails[r] = math.inf
-            continue
-        m_last = int(idx[-1])
-        tails[r] = vals[-1] * x ** (2 * m_last + 1) * rw ** (M + 1 - m_last) / (1.0 - rw)
+    # each row's last <= 10 significant indices, ascending, -1 padding the
+    # left; the smallest index type that holds every difference keeps the
+    # temporaries of a 10^4-row grid small
+    cols = np.arange(Mp1, dtype=np.min_scalar_type(-2 * Mp1))
+    idx = np.where(absG >= thresh[:, None], cols, -1)
+    idx.sort(axis=1)
+    idx = idx[:, -10:]
+    vals = np.take_along_axis(absG, np.maximum(idx, 0), axis=1)
+    gap = idx[:, :-1] >= 0  # both ends of the gap are significant
+    with np.errstate(divide="ignore", invalid="ignore"):  # padded gaps, masked below
+        ratios = vals[:, 1:] / vals[:, :-1]
+        ratios **= 1.0 / np.diff(idx, axis=1)
+    ratios[~gap] = -np.inf
+    rw = np.max(ratios, axis=1) * x * x  # per-w-degree ratio times x^2
+    fit = gap[:, -1]
+    tails = np.where(fit & (rw >= 1.0), math.inf, 0.0)
+    ok = fit & (rw < 1.0)
+    m_last = idx[ok, -1]
+    rw = rw[ok]
+    tails[ok] = vals[ok, -1] * x ** (2 * m_last + 1) * rw ** (M + 1 - m_last) / (1.0 - rw)
     return tails
+
+
+def _hhat(absG: np.ndarray, x) -> np.ndarray:
+    """hhat(x) = sum_m absG[:, m] x^(2m+1) per row, by Horner in w = x^2;
+    ``x`` is a scalar or one value per row."""
+    w = x * x
+    acc = np.zeros(absG.shape[0])
+    for m in range(absG.shape[1] - 1, -1, -1):
+        acc = acc * w + absG[:, m]
+    return x * acc
 
 
 def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
@@ -304,20 +343,15 @@ def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
         raise DomainError("t must be odd")
     if delta is None:
         delta = math.asinh(0.974203)
-    conds = check_conditions(k_max=t_odd - 2, grid=grid, K=K)
-    a, b, G = inverse_coeff_grid(grid, K)
-    absG = np.abs(G)
+    cg = _coeff_grid(grid, K)
+    conds = check_conditions(k_max=t_odd - 2, grid=cg, K=K)
+    absG = np.abs(cg.G)
     M = absG.shape[1] - 1
     m0 = (t_odd - 1) // 2
     powers = delta ** (2 * np.arange(m0, M + 1) + 1)
     h_err = absG[:, m0:] @ powers + _odd_tail_estimate(absG, delta)
     rho = np.minimum(delta, np.arcsinh(1.0 - 2.0 * h_err))
-    # hhat(rho) per point by Horner in w = rho^2
-    acc = np.zeros(absG.shape[0])
-    w = rho * rho
-    for m in range(M, -1, -1):
-        acc = acc * w + absG[:, m]
-    hhat_at_rho = rho * acc
+    hhat_at_rho = _hhat(absG, rho)
     ok = bool(conds.all_pass and np.all(hhat_at_rho <= 1.0 + 1e-9))
     return DefectCertificate(
         t_odd=t_odd,
@@ -327,18 +361,14 @@ def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
         hhat_at_rho_max=float(np.max(hhat_at_rho)),
         conditions_ok=conds.all_pass,
         ok=ok,
-        grid_size=int(a.size),
+        grid_size=int(cg.a.size),
     )
 
 
 def hhat_grid_max(x0: float, grid=101, K: int = CERT_ORDER) -> float:
     """max over the (a,b) grid of hhat(x0) at truncation order K."""
-    _, _, G = inverse_coeff_grid(grid, K)
-    absG = np.abs(G)
-    acc = np.zeros(absG.shape[0])
-    for m in range(absG.shape[1] - 1, -1, -1):
-        acc = acc * (x0 * x0) + absG[:, m]
-    return float(np.max(x0 * acc))
+    absG = np.abs(_coeff_grid(grid, K).G)
+    return float(np.max(_hhat(absG, x0)))
 
 
 def cotype2_constant(exponent: float) -> float:

@@ -185,7 +185,7 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, sol: RelaxationSolu
             Q[dead] = G2 @ Lv.T
             dead[dead] = (np.all(P[dead] == 0.0, axis=1)) | (np.all(Q[dead] == 0.0, axis=1))
         y, x, _, _ = _feasible_points(P, Q, pair)
-        vals = np.einsum("si,ij,sj->s", y, A, x)
+        vals = np.einsum("ij,ij->i", y @ A, x)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])

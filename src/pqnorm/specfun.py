@@ -51,24 +51,25 @@ def gamma_fn(x: float) -> float:
     return math.exp(log_gamma(x))
 
 
-def gaussian_moment_pow(r: float) -> float:
-    """E|g|^r for standard Gaussian g, i.e. the r-th absolute moment."""
+def _log_moment(r: float) -> float:
+    """log E|g|^r, exactly 0 at r = 0.  Working in logs keeps large r (e.g.
+    Steinberg's bound for big p) safe."""
     if r < 0:
         raise DomainError(f"gaussian moment requires r >= 0, got {r}")
     if r == 0:
-        return 1.0
-    return math.exp((r / 2.0) * math.log(2.0) - _LOG_SQRT_PI + log_gamma((1.0 + r) / 2.0))
+        return 0.0
+    return (r / 2.0) * math.log(2.0) - _LOG_SQRT_PI + log_gamma((1.0 + r) / 2.0)
+
+
+def gaussian_moment_pow(r: float) -> float:
+    """E|g|^r for standard Gaussian g, i.e. the r-th absolute moment."""
+    return math.exp(_log_moment(r))
 
 
 def gaussian_moment(r: float) -> float:
     """The Gaussian moment norm (E|g|^r)^(1/r); the r = 0 limit is 1."""
-    if r < 0:
-        raise DomainError(f"gaussian moment requires r >= 0, got {r}")
-    if r == 0:
-        return 1.0
-    # work in logs so that large r (e.g. Steinberg's bound for big p) is safe
-    logpow = (r / 2.0) * math.log(2.0) - _LOG_SQRT_PI + log_gamma((1.0 + r) / 2.0)
-    return math.exp(logpow / r)
+    logpow = _log_moment(r)
+    return math.exp(logpow / r) if r else 1.0
 
 
 @dataclass(frozen=True)

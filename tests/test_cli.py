@@ -160,6 +160,9 @@ class TestVerify:
         # order below k_max makes the conditions check impossible
         code, _ = run_main(["check-conditions", "--grid", "5", "--order", "10"], capsys)
         assert code == 2
+        # the suite reverts its grid first; an order below 1 is still an input error
+        code, _ = run_main(["verify", "conditions", "--grid", "5", "--order", "0"], capsys)
+        assert code == 2
 
 
 class TestConditionsCommands:
@@ -174,6 +177,26 @@ class TestConditionsCommands:
         assert code == 0
         rec = json.loads(out)
         assert rec["pass"] and rec["h_err_max"] <= 0.0129
+
+    @pytest.mark.parametrize("argv", [["verify", "conditions", "--grid", "21"],
+                                      ["certify-defect", "--grid", "21"]])
+    def test_one_reversion_per_command(self, argv, monkeypatch, capsys):
+        from pqnorm import _kernels
+
+        rows = []
+        revert = _kernels.revert_odd_batch
+
+        def counting(F):
+            G = revert(F)
+            rows.append(G.shape[0])
+            return G
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
+        for _ in range(2):  # a second call reverts again: nothing is cached
+            rows.clear()
+            code, _ = run_main(argv, capsys)
+            assert code == 0
+            assert sum(rows) == 441
 
 
 def test_console_entry_point(sign_csv):

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -31,16 +28,6 @@ def test_identity_rows_are_exact():
     assert np.all(G[:, 1:] == 0.0)
 
 
-def test_numpy_and_numba_paths_agree():
-    F = grid_coeffs()
-    g_np = _kernels._revert_odd_batch_np(F.copy())
-    g_used = _kernels.revert_odd_batch(F)
-    assert np.allclose(g_np, g_used, rtol=0, atol=1e-14)
-    if _kernels.NUMBA_ENABLED:
-        g_jit = _kernels._revert_odd_batch_jit(np.ascontiguousarray(F))
-        assert np.allclose(g_np, g_jit, rtol=0, atol=1e-14)
-
-
 def test_round_trip_against_forward_series():
     # evaluate f(f^{-1}(y)) = y on a few points per row
     F = grid_coeffs(n=7, M=24)
@@ -63,12 +50,3 @@ def test_rejects_bad_input():
         _kernels.revert_odd_batch(np.zeros((2, 5)))
     with pytest.raises(ValueError):
         _kernels.revert_odd_batch(np.ones(5))
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, PQNORM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import pqnorm; print(pqnorm.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"

@@ -6,7 +6,9 @@ import pytest
 from pqnorm.errors import DomainError
 from pqnorm.krivine import (
     KRIVINE_RATIO,
+    CoeffGrid,
     NormPair,
+    _odd_tail_estimate,
     approx_ratio,
     bounds_sweep,
     certify_defect,
@@ -15,6 +17,7 @@ from pqnorm.krivine import (
     cotype2_constant,
     f_bar_series,
     hhat_grid_max,
+    inverse_coeff_grid,
     steinberg_ratio,
 )
 from pqnorm.series import evaluate
@@ -225,7 +228,6 @@ class TestDefectCertificate:
 
     def test_batched_grid_matches_series_path(self):
         # the batched kernel route and the single-series route agree on hhat
-        from pqnorm.krivine import inverse_coeff_grid
         from pqnorm.series import abs_map, revert
 
         x0 = 0.7
@@ -236,6 +238,86 @@ class TestDefectCertificate:
             direct, _ = evaluate(h, x0)
             batched = x0 * np.polynomial.polynomial.polyval(x0 * x0, np.abs(G[i]))
             assert batched == pytest.approx(direct, abs=1e-14)
+
+
+def odd_tail_reference(absG, x):
+    """The per-row loop form of the odd tail fit, as a reference."""
+    B, Mp1 = absG.shape
+    M = Mp1 - 1
+    top = np.max(absG, axis=1)
+    thresh = 1e-14 * np.maximum(top, 1e-300)
+    sig = absG >= thresh[:, None]
+    tails = np.zeros(B)
+    for r in range(B):
+        idx = np.flatnonzero(sig[r])
+        if idx.size < 2:
+            continue
+        idx = idx[-10:]
+        vals = absG[r, idx]
+        ratios = (vals[1:] / vals[:-1]) ** (1.0 / np.diff(idx))
+        rw = float(np.max(ratios)) * x * x
+        if rw >= 1.0:
+            tails[r] = math.inf
+            continue
+        m_last = int(idx[-1])
+        tails[r] = vals[-1] * x ** (2 * m_last + 1) * rw ** (M + 1 - m_last) / (1.0 - rw)
+    return tails
+
+
+class TestCoeffGrid:
+    @pytest.fixture(scope="class")
+    def grid21(self):
+        return inverse_coeff_grid(21, K=60)
+
+    def test_tuple_compatible(self, grid21):
+        assert isinstance(grid21, CoeffGrid)
+        a, b, G = grid21
+        assert grid21[0].size == a.size == b.size == G.shape[0] == 441
+        assert G.shape[1] == 30
+
+    @pytest.mark.parametrize("x", [math.asinh(0.974203), 0.5, 1.2])
+    def test_vectorised_tail_matches_loop(self, grid21, x):
+        absG = np.abs(grid21.G)
+        ref = odd_tail_reference(absG, x)
+        got = _odd_tail_estimate(absG, x)
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        # the a = 1 and b = 1 rows have fewer than two significant entries
+        assert np.count_nonzero(ref == 0.0) == 41
+        assert np.count_nonzero(np.isinf(ref)) == (303 if x == 1.2 else 0)
+        fit = np.isfinite(ref) & (ref != 0.0)
+        assert np.all(np.abs(got[fit] - ref[fit]) <= 1e-15 * ref[fit])
+
+    def test_vectorised_tail_on_synthetic_rows(self):
+        decay = 0.5 ** np.arange(15.0)
+        rows = np.array([
+            decay,
+            np.where(np.arange(15) >= 6, 1.8, 1.0) * decay,  # gap 5 -> 6 has ratio 0.9
+            np.where(np.arange(15) % 3 == 1, 0.0, decay),  # gaps across zeros
+            np.where(np.arange(15) == 0, 1.0, 1e-20),  # one significant entry
+            np.zeros(15),
+        ])
+        ref = odd_tail_reference(rows, 0.9)
+        assert ref[3] == ref[4] == 0.0 and np.all(ref[:3] > 0)
+        got = _odd_tail_estimate(rows, 0.9)
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+    def test_precomputed_grid_gives_equal_reports(self, grid21):
+        assert check_conditions(k_max=29, grid=grid21, K=60) == \
+            check_conditions(k_max=29, grid=21, K=60)
+        assert certify_defect(grid=grid21, K=60) == certify_defect(grid=21, K=60)
+        x0 = ASINH1 / 1.00863
+        assert hhat_grid_max(x0, grid=grid21, K=60) == hhat_grid_max(x0, grid=21, K=60)
+
+    def test_order_must_match_the_grid(self, grid21):
+        with pytest.raises(DomainError):
+            check_conditions(k_max=29, grid=grid21, K=40)
+        with pytest.raises(DomainError):
+            hhat_grid_max(0.5, grid=grid21, K=31)
+
+    def test_order_below_one_is_domain_error(self):
+        with pytest.raises(DomainError):
+            inverse_coeff_grid(5, K=0)
 
 
 class TestCotype:

@@ -11,7 +11,9 @@ from pqnorm.specfun import (
     euler_continuation,
     gamma_fn,
     gaussian_moment,
+    gaussian_moment_pow,
     hyp_coeffs,
+    log_gamma,
 )
 
 
@@ -80,6 +82,20 @@ class TestGaussianMoment:
 
     def test_no_overflow_for_large_r(self):
         assert 5.0 < gaussian_moment(1000.0) < 30.0
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, 50.0, 400.0])
+    def test_moment_and_power_match_the_log_formula(self, r):
+        # both forms are exp of one log-moment, bit for bit
+        logpow = (r / 2.0) * math.log(2.0) - 0.5 * math.log(math.pi) \
+            + log_gamma((1.0 + r) / 2.0)
+        assert gaussian_moment(r) == (1.0 if r == 0 else math.exp(logpow / r))
+        if r == 0:
+            assert gaussian_moment_pow(r) == 1.0
+        elif r == 400.0:  # E|g|^400 ~ 1e433 lies beyond float range
+            with pytest.raises(OverflowError):
+                gaussian_moment_pow(r)
+        else:
+            assert gaussian_moment_pow(r) == math.exp(logpow)
 
     def test_dataclass_invariants(self):
         gm = GaussianMoment.compute(2.0)
