@@ -14,7 +14,7 @@ from scipy import integrate
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, f_bar_series, f_bar_w_coeffs
 from .series import evaluate
-from .specfun import euler_continuation, gamma_fn, gaussian_moment_pow
+from .specfun import _on_excluded_ray, euler_continuation, gamma_fn, gaussian_moment_pow
 
 # numpy renamed trapz to trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -170,38 +170,42 @@ class ContourReport:
         return min(self.min_arc, self.min_segment)
 
 
+def _contour_points(alpha: float, eps: float, samples: int):
+    """The arc and the near-real leg of the expanding contour, ``samples``
+    points each; both end at the arc start, at height sqrt(eps)."""
+    end = complex(math.sqrt(alpha * alpha - eps), math.sqrt(eps))
+    theta = np.linspace(math.atan2(end.imag, end.real), math.pi / 2.0, samples)
+    arc = alpha * (np.cos(theta) + 1j * np.sin(theta))
+    start = complex(1.0 - eps, 0.0)
+    return arc, start + np.linspace(0.0, 1.0, samples) * (end - start)
+
+
 def contour_magnitude_check(a: float, b: float, alpha: float = 6.0,
                             eps: float = 1e-4, samples: int = 80) -> ContourReport:
     """Minimum of |F(z)| over the expanding contour's arc and near-real leg.
 
     The arc runs along |z| = alpha from just above the real axis to the
     imaginary axis; the leg runs from 1-eps out to the arc start at height
-    sqrt(eps).  Points that fall on the excluded rays are skipped.  The
+    sqrt(eps).  Points that fall on the excluded rays are skipped; a leg
+    with no point left is a DomainError, since it would check nothing.  The
     default eps keeps the leg start far enough from the branch point at 1
-    for the continuation quadrature to hold its accuracy target.
+    for the continuation to hold its accuracy target.
     """
     if alpha < 1.0:
         raise DomainError("contour radius must be >= 1")
-    skipped = 0
-    theta0 = math.atan2(math.sqrt(eps), math.sqrt(max(alpha * alpha - eps, 0.0)))
-    min_arc = math.inf
-    for theta in np.linspace(theta0, math.pi / 2.0, samples):
-        z = alpha * complex(math.cos(theta), math.sin(theta))
-        try:
-            min_arc = min(min_arc, abs(euler_continuation(z, a, b)))
-        except DomainError:
-            skipped += 1
-    start = complex(1.0 - eps, 0.0)
-    end = complex(math.sqrt(max(alpha * alpha - eps, 0.0)), math.sqrt(eps))
-    min_seg = math.inf
-    for tpar in np.linspace(0.0, 1.0, samples):
-        z = start + tpar * (end - start)
-        try:
-            min_seg = min(min_seg, abs(euler_continuation(z, a, b)))
-        except DomainError:
-            skipped += 1
-    return ContourReport(a=a, b=b, alpha=alpha, eps=eps, min_arc=min_arc,
-                         min_segment=min_seg, skipped=skipped)
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    if samples < 2:
+        raise DomainError(f"need samples >= 2 on each leg, got {samples}")
+    z = np.concatenate(_contour_points(alpha, eps, samples))
+    keep = ~_on_excluded_ray(z)
+    if not (keep[:samples].any() and keep[samples:].any()):
+        raise DomainError(f"every point of a contour leg lies on the excluded rays (eps={eps})")
+    mag = np.full(z.size, math.inf)
+    mag[keep] = np.abs(euler_continuation(z[keep], a, b))
+    return ContourReport(a=a, b=b, alpha=alpha, eps=eps, min_arc=float(mag[:samples].min()),
+                         min_segment=float(mag[samples:].min()),
+                         skipped=int(z.size - keep.sum()))
 
 
 def beta_bound_expression(b: float, r: float = 6.0) -> float:

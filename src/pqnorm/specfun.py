@@ -2,10 +2,11 @@
 Euler-integral continuation of the correlation function off the unit disk."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError
 
@@ -62,8 +63,14 @@ def _log_moment(r: float) -> float:
 
 
 def gaussian_moment_pow(r: float) -> float:
-    """E|g|^r for standard Gaussian g, i.e. the r-th absolute moment."""
-    return math.exp(_log_moment(r))
+    """E|g|^r for standard Gaussian g, i.e. the r-th absolute moment.
+
+    DomainError past r ~ 301, where the moment exceeds the float64 range."""
+    try:
+        return math.exp(_log_moment(r))
+    except OverflowError:
+        raise DomainError(f"E|g|^r at r={r} exceeds the float64 maximum "
+                          f"{sys.float_info.max:.4g}") from None
 
 
 def gaussian_moment(r: float) -> float:
@@ -126,26 +133,61 @@ def hyp_coeffs(kind: str, params, K: int):
     return TruncatedSeries(c)
 
 
-def _on_excluded_ray(z: complex) -> bool:
-    return abs(z.imag) <= 1e-13 * max(1.0, abs(z)) and abs(z.real) >= 1.0 - 1e-13
+def _on_excluded_ray(z):
+    """Elementwise: z lies on (-inf, -1] or [1, inf), up to 1e-13 relative."""
+    z = np.asarray(z, dtype=complex)
+    return ((np.abs(z.imag) <= 1e-13 * np.maximum(1.0, np.abs(z)))
+            & (np.abs(z.real) >= 1.0 - 1e-13))
 
 
-def euler_continuation(z: complex, a: float, b: float) -> complex:
-    """Analytic continuation of rho * 2F1((1-a)/2, (1-b)/2; 3/2; rho^2).
+#: nodes of the Gauss-Jacobi rule; the error check reruns with half as many
+_GJ_NODES = 192
+#: points per block, which bounds the (points, nodes) work arrays (~3 MB each)
+_GJ_BLOCK = 1024
 
-    Evaluates  B((1-b)/2, 1+b/2)^{-1} * z * int_0^1 (1-t)^{b/2} /
-    (t^{(1+b)/2} (1-z^2 t)^{(1-a)/2}) dt  after the substitution t = s^2,
-    valid on the plane cut along (-inf,-1] and [1,inf).  Relative accuracy
-    1e-8 for |z| <= 10; complex powers take the principal branch.
+
+def _gauss_jacobi(n: int, alpha: float, beta: float):
+    """Nodes and weights of the n-point Gauss rule for (1-x)^alpha (1+x)^beta
+    on [-1, 1], scaled so the weights sum to 1.
+
+    The nodes are scipy's; the weights are the Christoffel numbers
+    1 / sum_k p_k(x)^2 of the orthonormal Jacobi polynomials.  scipy's own
+    weights lose accuracy at the node next to a strong endpoint singularity
+    (their first moment is off by 3e-9 at beta = -0.975, n = 192); these
+    hold it to a few 1e-12.
     """
-    if not (0 <= a < 1 and 0 <= b < 1):
-        raise DomainError(f"exponents must lie in [0,1), got a={a}, b={b}")
-    z = complex(z)
-    if _on_excluded_ray(z):
-        raise DomainError(f"z={z} lies on the excluded real rays |Re z| >= 1")
-    if z == 0:
-        return 0.0 + 0.0j
+    x = special.roots_jacobi(n, alpha, beta)[0]
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha + beta
+    # the three-term recurrence: diagonal diag[k], off-diagonal off[k] (off[0] = 0)
+    diag = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    off = np.zeros(n)
+    off[1:] = np.sqrt(4.0 * k[1:] * (k[1:] + alpha) * (k[1:] + beta) * (k[1:] + alpha + beta)
+                      / (s[1:] ** 2 * (s[1:] + 1.0) * (s[1:] - 1.0)))
+    p_prev, p, acc = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
+        acc += p * p
+    w = 1.0 / acc
+    return x, w / w.sum()
 
+
+def _euler_rule(n: int, a: float, b: float):
+    """The n-point rule for the normalised Euler integral along the parabola
+    t(s) = s (1 + i (1 - s)): the t-values at the nodes and the weights times
+    the smooth path factors (1 - i s)^{b/2} (1 + i (1 - s))^{-(1+b)/2}
+    (1 + i (1 - 2 s)).  The weights absorb (1-s)^{b/2} s^{-(1+b)/2}."""
+    x, w = _gauss_jacobi(n, b / 2.0, -(1.0 + b) / 2.0)
+    s = (1.0 + x) / 2.0
+    bend = 1.0 + 1j * (1.0 - s)
+    t = s * bend
+    path = (1.0 - 1j * s) ** (b / 2.0) * bend ** (-(1.0 + b) / 2.0) * (1.0 + 1j * (1.0 - 2.0 * s))
+    return t, w * path
+
+
+def _euler_quad(z: complex, a: float, b: float) -> complex:
+    """The continuation at one point by adaptive quadrature on [0, 1]."""
     beta_norm = gamma_fn((1.0 - b) / 2.0) * gamma_fn(1.0 + b / 2.0) / gamma_fn(1.5)
     z2 = z * z
 
@@ -171,3 +213,55 @@ def euler_continuation(z: complex, a: float, b: float) -> complex:
             achieved=result, error_estimate=err,
         )
     return result
+
+
+def euler_continuation(z, a: float, b: float):
+    """Analytic continuation of rho * 2F1((1-a)/2, (1-b)/2; 3/2; rho^2).
+
+    Evaluates  B((1-b)/2, 1+b/2)^{-1} * z * int_0^1 (1-t)^{b/2} /
+    (t^{(1+b)/2} (1-z^2 t)^{(1-a)/2}) dt,  valid on the plane cut along
+    (-inf,-1] and [1,inf).  Relative accuracy 1e-8 for |z| <= 10; complex
+    powers take the principal branch.
+
+    ``z`` is a scalar or an array: a scalar gives a Python complex, an array
+    an ndarray of its shape.  Any point on the excluded rays raises
+    DomainError.
+
+    Method: a 192-node Gauss-Jacobi rule, whose weight absorbs both endpoint
+    singularities, along the parabola t(s) = s (1 + i sigma (1-s)) with
+    sigma = sign Im(z^2) (+1 when that is 0).  The parabola bends away from
+    the branch point 1/z^2, and the cut {u/z^2 : u >= 1} lies on the other
+    side of [0, 1], so by Cauchy's theorem the value is unchanged.  A point
+    is accepted when the 192- and 96-node values agree to 1e-9 relative;
+    every other point (in practice z next to +-1, where 1/z^2 sits just past
+    t = 1) falls back to adaptive ``scipy.integrate.quad``, which raises
+    AccuracyError when its own error estimate misses the target.  Each call
+    builds its node rules (a few ms), so pass many points as one array.
+    """
+    if not (0 <= a < 1 and 0 <= b < 1):
+        raise DomainError(f"exponents must lie in [0,1), got a={a}, b={b}")
+    scalar = np.ndim(z) == 0
+    z = np.asarray(z, dtype=complex)
+    on_ray = _on_excluded_ray(z)
+    if on_ray.any():
+        raise DomainError(f"z={z[on_ray].flat[0]} lies on the excluded real rays |Re z| >= 1")
+    flat = z.ravel()
+    out = np.zeros_like(flat)
+    todo = np.flatnonzero(flat)
+    if todo.size:
+        rules = [_euler_rule(n, a, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
+        for lo in range(0, todo.size, _GJ_BLOCK):
+            idx = todo[lo:lo + _GJ_BLOCK]
+            z2 = flat[idx] ** 2
+            flip = z2.imag < 0  # sigma = -1: integrate at conj(z^2), conjugate back
+            z2[flip] = z2[flip].conjugate()
+            full, half = (((1.0 - z2[:, None] * t) ** (-(1.0 - a) / 2.0) * hw).sum(axis=1)
+                          for t, hw in rules)
+            ok = np.abs(full - half) <= 1e-9 * np.abs(full)
+            full[flip] = full[flip].conjugate()
+            out[idx[ok]] = flat[idx[ok]] * full[ok]
+            for i in idx[~ok]:
+                out[i] = _euler_quad(complex(flat[i]), a, b)
+    if scalar:
+        return complex(out[0])
+    return out.reshape(z.shape)

@@ -164,6 +164,36 @@ class TestVerify:
         code, _ = run_main(["verify", "conditions", "--grid", "5", "--order", "0"], capsys)
         assert code == 2
 
+    def test_contours_make_one_continuation_call_per_pair(self, monkeypatch, capsys):
+        # 25 (a, b) pairs of 50 contour points; only points next to the branch
+        # point fall back to quad, two calls each (real and imaginary part)
+        from pqnorm import oracles, specfun
+
+        calls, fallback_points, quad_calls = [0], [0], [0]
+        cont, fallback, quad = (oracles.euler_continuation, specfun._euler_quad,
+                                specfun.integrate.quad)
+
+        def counting_cont(*a):
+            calls[0] += 1
+            return cont(*a)
+
+        def counting_fallback(*a):
+            fallback_points[0] += 1
+            return fallback(*a)
+
+        def counting_quad(*a, **k):
+            quad_calls[0] += 1
+            return quad(*a, **k)
+
+        monkeypatch.setattr(oracles, "euler_continuation", counting_cont)
+        monkeypatch.setattr(specfun, "_euler_quad", counting_fallback)
+        monkeypatch.setattr(specfun.integrate, "quad", counting_quad)
+        code, out = run_main(["verify", "contours"], capsys)
+        assert code == 0 and len(out.splitlines()) == 38
+        assert calls[0] == 25
+        assert quad_calls[0] <= 2 * fallback_points[0]
+        assert quad_calls[0] <= 100
+
 
 class TestConditionsCommands:
     def test_check_conditions(self, capsys):
@@ -197,7 +227,6 @@ class TestConditionsCommands:
             code, _ = run_main(argv, capsys)
             assert code == 0
             assert sum(rows) == 441
-
 
 def test_console_entry_point(sign_csv):
     out = subprocess.run([sys.executable, "-m", "pqnorm.cli", "round", "--in", sign_csv,

@@ -125,6 +125,30 @@ class TestContourMagnitude:
         with pytest.raises(DomainError):
             contour_magnitude_check(0.1, 0.1, alpha=0.5)
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_is_a_domain_error(self, samples):
+        # samples = 0 used to report min_arc = min_segment = inf, read as a pass
+        with pytest.raises(DomainError, match="samples"):
+            contour_magnitude_check(0.3, 0.3, samples=samples)
+
+    @pytest.mark.parametrize("eps", [-1e-4, 0.0, 1.0, 2.0])
+    def test_eps_outside_unit_interval_is_a_domain_error(self, eps):
+        with pytest.raises(DomainError, match="eps"):
+            contour_magnitude_check(0.3, 0.3, eps=eps, samples=10)
+
+    def test_points_on_the_rays_are_skipped(self):
+        # at eps = 1e-24 the leg rises 1e-12 over its length, so its first two
+        # points lie within the 1e-13 relative band of [1, inf)
+        rep = contour_magnitude_check(0.3, 0.3, eps=1e-24, samples=10)
+        assert rep.skipped == 2
+        assert 1.0 < rep.min_segment < rep.min_arc < math.inf
+
+    def test_leg_entirely_on_the_rays_is_a_domain_error(self):
+        # at eps = 1e-30 every leg point (and the arc start) is on the rays:
+        # 11 skipped, and a leg with nothing evaluated would check nothing
+        with pytest.raises(DomainError, match="excluded rays"):
+            contour_magnitude_check(0.3, 0.3, eps=1e-30, samples=10)
+
 
 def test_observed_coefficient_decay_constant():
     # the certified tail analysis rests on |f^{-1}_k| <= 6.1831/(k (1+e)^k);

@@ -1,11 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from pqnorm import specfun
 from pqnorm.errors import DomainError
+from pqnorm.oracles import _contour_points
 from pqnorm.specfun import (
     GaussianMoment,
     euler_continuation,
@@ -92,10 +95,18 @@ class TestGaussianMoment:
         if r == 0:
             assert gaussian_moment_pow(r) == 1.0
         elif r == 400.0:  # E|g|^400 ~ 1e433 lies beyond float range
-            with pytest.raises(OverflowError):
+            with pytest.raises(DomainError, match=r"r=400.*float64"):
                 gaussian_moment_pow(r)
         else:
             assert gaussian_moment_pow(r) == math.exp(logpow)
+
+    def test_largest_finite_power(self):
+        # r = 300 stays finite (E|g|^300 ~ 3.75e306); r = 302 is past float range
+        logpow = 150.0 * math.log(2.0) - 0.5 * math.log(math.pi) + log_gamma(150.5)
+        assert gaussian_moment_pow(300.0) == math.exp(logpow)
+        assert 3.7e306 < gaussian_moment_pow(300.0) < 3.8e306
+        with pytest.raises(DomainError):
+            gaussian_moment_pow(302.0)
 
     def test_dataclass_invariants(self):
         gm = GaussianMoment.compute(2.0)
@@ -180,3 +191,81 @@ class TestEulerContinuation:
             euler_continuation(0.5j, 1.0, 0.0)
         with pytest.raises(DomainError):
             euler_continuation(0.5j, 0.0, -0.1)
+
+
+def hyp2f1_reference(z, a, b):
+    """z * 2F1((1-a)/2, (1-b)/2; 3/2; z^2) in mpmath, principal branch."""
+    return np.array([complex(zi * mpmath.hyp2f1((1 - a) / 2, (1 - b) / 2, 1.5, zi * zi))
+                     for zi in np.ravel(z)]).reshape(np.shape(z))
+
+
+class TestEulerContinuationArray:
+    CONTOUR = np.concatenate(_contour_points(6.0, 1e-4, 25))  # the verify-contours points
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 0.95), (0.5, 0.25), (0.95, 0.95)])
+    def test_contour_points_against_mpmath(self, a, b):
+        val = euler_continuation(self.CONTOUR, a, b)
+        ref = hyp2f1_reference(self.CONTOUR, a, b)
+        assert np.all(np.abs(val - ref) <= 1e-9 * np.abs(ref))
+
+    def test_off_contour_points_against_mpmath(self):
+        # large |z|, tiny |z|, and both sides of the real rays
+        z = np.array([10j, 10 + 0.1j, 50j, 100 + 1j, 1e-8 + 1e-8j, -0.9999 + 1e-9j,
+                      0.3 - 2.0j, -4.0 - 0.01j])
+        for a, b in [(0.2, 0.9), (0.0, 0.999), (0.999, 0.0)]:
+            val = euler_continuation(z, a, b)
+            ref = hyp2f1_reference(z, a, b)
+            assert np.all(np.abs(val - ref) <= 1e-9 * np.abs(ref)), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.95, 0.95), (0.3, 0.999)])
+    def test_matches_scalar_calls(self, a, b):
+        # the contour includes z = 1 - 1e-4, which goes through the quad fallback
+        val = euler_continuation(self.CONTOUR, a, b)
+        assert all(v == euler_continuation(z, a, b) for z, v in zip(self.CONTOUR, val))
+        assert type(euler_continuation(self.CONTOUR[3], a, b)) is complex
+
+    def test_shape_and_exact_zero(self):
+        z = np.array([[0.0, 0.5j, -0.3 + 0.2j], [2.0 + 1.0j, 0.0, 0.1]])
+        val = euler_continuation(z, 0.3, 0.6)
+        assert isinstance(val, np.ndarray) and val.shape == z.shape
+        assert val[0, 0] == 0.0 and val[1, 1] == 0.0
+        assert euler_continuation(np.zeros((2, 0)), 0.3, 0.6).shape == (2, 0)
+        assert euler_continuation(np.array(0.25j), 0.3, 0.6) == euler_continuation(0.25j, 0.3, 0.6)
+
+    def test_conjugate_symmetry_on_a_batch(self):
+        z = np.concatenate([self.CONTOUR, [0.4 + 0.3j, -2.0 + 1.5j, 0.1 - 5.0j]])
+        lhs = euler_continuation(z.conj(), 0.3, 0.6)
+        rhs = euler_continuation(z, 0.3, 0.6).conj()
+        assert np.all(np.abs(lhs - rhs) <= 1e-10 * np.abs(rhs))
+
+    @pytest.mark.parametrize("bad", [1.0, -7.0, 2.5 + 1e-14j, 1.0000001])
+    def test_any_excluded_point_raises(self, bad):
+        with pytest.raises(DomainError):
+            euler_continuation(np.array([0.5j, bad, 3.0 + 1.0j]), 0.2, 0.2)
+
+    def test_fallback_only_next_to_the_branch_point(self, monkeypatch):
+        # the 50 contour points at (0.5, 0.5) and their mirror images, whose
+        # path bends the other way: only z = 1 - 1e-4 needs quad
+        points = []
+        quad = specfun._euler_quad
+
+        def counting(z, a, b):
+            points.append(z)
+            return quad(z, a, b)
+
+        monkeypatch.setattr(specfun, "_euler_quad", counting)
+        for z in (self.CONTOUR, self.CONTOUR.conj()):
+            points.clear()
+            euler_continuation(z, 0.5, 0.5)
+            assert points == [1.0 - 1e-4]
+
+    def test_gauss_jacobi_weights(self):
+        # moments int_0^1 (1-t)^{b/2} t^{-(1+b)/2} t^k dt / B((1-b)/2, 1+b/2)
+        # = prod_{j<k} ((1-b)/2 + j) / (3/2 + j), exact in mpmath
+        for b in (0.0, 0.5, 0.95, 0.999):
+            for n in (96, 192):
+                x, w = specfun._gauss_jacobi(n, b / 2.0, -(1.0 + b) / 2.0)
+                t = (1.0 + x) / 2.0
+                for k in (0, 1, 2, 5, 40):
+                    exact = float(mpmath.rf((1 - b) / 2, k) / mpmath.rf(1.5, k))
+                    assert float(np.dot(w, t ** k)) == pytest.approx(exact, rel=1e-10)
