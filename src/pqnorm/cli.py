@@ -80,13 +80,12 @@ def cmd_bounds(args) -> int:
 def cmd_round(args) -> int:
     inst = _load_instance(args)
     sol = relaxation.solve_cp(inst, seed=args.seed)
-    c_ab, _ = krivine.compute_c_ab(inst.pair, K=args.order, tol=args.tol)
-    tg = rounding.build_transformed_gram(sol, inst.pair, c_ab, K=args.order)
+    report = krivine.approx_ratio(inst.pair, K=args.order, tol=args.tol)
+    tg = rounding.build_transformed_gram(sol, inst.pair, report.c_ab, K=args.order)
     rs = rounding.sample_round(inst, tg, sol, num_samples=args.samples, seed=args.seed)
-    report = krivine.approx_ratio(inst.pair, K=args.order)
     _emit([_dumps({
         "cp_value": sol.value,
-        "c_ab": c_ab,
+        "c_ab": report.c_ab,
         "best_value": rs.value,
         "empirical_mean": rs.empirical_mean_value,
         "samples": rs.sample_count,

@@ -71,27 +71,14 @@ class DualSolution:
     primal_value: float
 
 
-def solve_dual(inst: ProblemInstance, max_iters: int = 300, tol: float = 1e-9,
-               primal: Optional[RelaxationSolution] = None, seed: int = 0) -> DualSolution:
-    """Feasible weights (s, t) for the dual block-PSD program.
+def _cs_weights(A: np.ndarray, U: np.ndarray, V: np.ndarray):
+    """Complementary-slackness dual weights from the primal factors U, V.
 
-    Initialized at the complementary-slackness point built from the primal
-    solution's row norms (s_i = ||(AV)_i|| / ||u^i||, t_j symmetric), whose
-    value meets the primal value under strong duality; scaled minimally to
-    repair residual infeasibility, then polished by projected subgradient
-    steps on the exact penalty value + mu * max(0, -lambda_min), keeping the
-    best feasible iterate.  The solve runs on A / max |A_ij|, and s, t and
-    the value are scaled back (feasibility is invariant under scaling A, s
-    and t together), so any finite scale works.
+    s_i = ||(AV)_i|| / ||u^i|| and t_j = ||(A^T U)_j|| / ||v^j|| (zero on zero
+    rows and columns of A) meet the primal value at a primal optimum.  They
+    are scaled by the least c >= 1, plus a hair, that makes the scaled block
+    matrix PSD.  Returns (s, t, lambda_min after the repair).
     """
-    m, n = inst.shape
-    if max(m, n) > 200:
-        raise DomainError("dense eigensolves support instances up to 200x200")
-    if primal is None:
-        primal = solve_cp(inst, seed=seed)
-    amax = float(np.max(np.abs(inst.A))) or 1.0
-    A = inst.A / amax
-    U, V = primal.U, primal.V
     row_zero = np.all(A == 0.0, axis=1)
     col_zero = np.all(A == 0.0, axis=0)
     un = np.linalg.norm(U, axis=1)
@@ -100,63 +87,38 @@ def solve_dual(inst: ProblemInstance, max_iters: int = 300, tol: float = 1e-9,
     wv = np.linalg.norm(A.T @ U, axis=1)
     s = np.where(row_zero, 0.0, wu / np.maximum(un, 1e-280))
     t = np.where(col_zero, 0.0, wv / np.maximum(vn, 1e-280))
-
-    def repaired(s, t):
+    lam = _min_eig_scaled(A, s, t)
+    if lam < 0.0 and math.isfinite(lam):
+        c = 1.0 - lam * (1.0 + 1e-10) + 1e-14
+        s, t = c * s, c * t
         lam = _min_eig_scaled(A, s, t)
-        if lam < 0.0 and math.isfinite(lam):
-            c = 1.0 - lam * (1.0 + 1e-10) + 1e-14
-            return c * s, c * t, _min_eig_scaled(A, c * s, c * t)
-        return s, t, lam
+    return s, t, lam
 
-    s, t, lam = repaired(s, t)
-    best = (dual_value(inst.pair, s, t), s, t, lam)
 
-    # projected subgradient polish on the exact-penalty objective
-    mu = 10.0 * max(1.0, best[0])
-    alpha_exp, beta_exp = _outer_exponents(inst.pair)
-    cur_s, cur_t = s.copy(), t.copy()
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([s, t])))))
-    for it in range(1, max_iters + 1):
-        M = _block_matrix(A, cur_s, cur_t)
-        evals, evecs = np.linalg.eigh(M)
-        lam_min = float(evals[0])
-        w = evecs[:, 0]
-        gs = _norm_subgradient(cur_s, alpha_exp)
-        gt = _norm_subgradient(cur_t, beta_exp)
-        if lam_min < 0.0:
-            gs = gs * 0.5 - mu * w[:m] ** 2
-            gt = gt * 0.5 - mu * w[m:] ** 2
-        else:
-            gs, gt = gs * 0.5, gt * 0.5
-        step = 0.05 * scale / math.sqrt(it)
-        cur_s = np.clip(cur_s - step * gs, 0.0, None)
-        cur_t = np.clip(cur_t - step * gt, 0.0, None)
-        if not (np.all(np.isfinite(cur_s)) and np.all(np.isfinite(cur_t))):
-            raise NumericalError("non-finite dual iterate", dump={"s": cur_s, "t": cur_t})
-        rs, rt, rlam = repaired(cur_s, cur_t)
-        val = dual_value(inst.pair, rs, rt)
-        if rlam >= -tol and val < best[0]:
-            best = (val, rs, rt, rlam)
-    val, s, t, lam = best
+def solve_dual(inst: ProblemInstance, tol: float = 1e-9,
+               primal: Optional[RelaxationSolution] = None, seed: int = 0) -> DualSolution:
+    """Feasible weights (s, t) for the dual block-PSD program.
+
+    The weights are the repaired complementary-slackness point of the primal
+    solution (``_cs_weights``); if its lambda_min is still below -tol,
+    ``NumericalError`` is raised.  The solve runs on A / max |A_ij|, and s, t
+    and the value are scaled back (feasibility is invariant under scaling A,
+    s and t together), so any finite scale works.
+    """
+    m, n = inst.shape
+    if max(m, n) > 200:
+        raise DomainError("dense eigensolves support instances up to 200x200")
+    if primal is None:
+        primal = solve_cp(inst, seed=seed)
+    amax = float(np.max(np.abs(inst.A))) or 1.0
+    s, t, lam = _cs_weights(inst.A / amax, primal.U, primal.V)
     if lam < -tol:
         raise NumericalError(
             f"dual solver failed to reach feasibility; minimum eigenvalue {lam:.3e}",
             dump={"s": s, "t": t},
         )
-    return DualSolution(s=amax * s, t=amax * t, value=amax * val, min_eigenvalue=lam,
-                        primal_value=primal.value)
-
-
-def _norm_subgradient(x: np.ndarray, r: float) -> np.ndarray:
-    """Subgradient of ||x||_r at x >= 0."""
-    nrm = lp_norm(x, r)
-    if nrm == 0.0:
-        return np.zeros_like(x)
-    if math.isinf(r):
-        g = np.zeros_like(x)
-        g[np.argmax(x)] = 1.0
-        return g
-    return (x / nrm) ** (r - 1.0)
+    return DualSolution(s=amax * s, t=amax * t, value=amax * dual_value(inst.pair, s, t),
+                        min_eigenvalue=lam, primal_value=primal.value)
 
 
 @dataclass

@@ -144,14 +144,17 @@ def steinberg_ratio(pair: NormPair) -> float:
     return min(branch1, branch2)
 
 
-def approx_ratio(pair: NormPair, K: int = CERT_ORDER, certify: bool = False) -> BoundReport:
+def approx_ratio(pair: NormPair, K: int = CERT_ORDER, certify: bool = False,
+                 tol: float = 1e-4) -> BoundReport:
     """Approximation-factor report 1/(gamma_{p*} gamma_q c_{a,b}) with the
     Krivine and Steinberg comparison values.
 
+    ``tol`` is passed to :func:`compute_c_ab`; it only decides whether the
+    tail certifies c_ab (``CertificationError`` if not), not c_ab itself.
     With ``certify`` the report also carries the tail certificate for this
     pair (t = 31 and the default radius).
     """
-    c, h = compute_c_ab(pair, K)
+    c, h = compute_c_ab(pair, K, tol=tol)
     _, tail = series.evaluate(h, c)
     ratio = 1.0 / (gaussian_moment(pair.p_star) * gaussian_moment(pair.q) * c)
     defect = None

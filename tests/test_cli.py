@@ -98,6 +98,22 @@ class TestRound:
                             "--tol", "1e-13", "--samples", "100"], capsys)
         assert code == 3
 
+    def test_c_ab_computed_once_at_tol(self, sign_csv, monkeypatch, capsys):
+        from pqnorm import krivine
+
+        tols = []
+        compute = krivine.compute_c_ab
+
+        def counting(*a, **k):
+            tols.append(k["tol"])
+            return compute(*a, **k)
+
+        monkeypatch.setattr(krivine, "compute_c_ab", counting)
+        code, _ = run_main(["round", "--in", sign_csv, "--tol", "1e-6",
+                            "--samples", "100"], capsys)
+        assert code == 0
+        assert tols == [1e-6]
+
     def test_zero_samples_is_exit_2(self, sign_csv, capsys):
         code, _ = run_main(["round", "--in", sign_csv, "--samples", "0"], capsys)
         assert code == 2
@@ -135,6 +151,24 @@ class TestFactorize:
         assert rec["primal_value"] * (1.0 - 1e-12) <= rec["dual_value"]
         assert rec["duality_gap"] <= 1e-4 * rec["dual_value"]
         assert rec["norm_product"] <= rec["dual_value"] * (1.0 + 1e-12)
+
+    def test_few_eigensolves(self, tmp_path, monkeypatch, capsys):
+        # the dual is the repaired complementary-slackness point: lambda_min
+        # before and after the repair, then the certificate's own check
+        import numpy as np
+
+        path = tmp_path / "g40.csv"
+        np.savetxt(path, np.random.default_rng(40).standard_normal((40, 40)), delimiter=",")
+        calls = [0]
+        for name in ("eigh", "eigvalsh"):
+            def counting(*a, _fn=getattr(np.linalg, name), **k):
+                calls[0] += 1
+                return _fn(*a, **k)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        code, _ = run_main(["factorize", "--in", str(path)], capsys)
+        assert code == 0
+        assert calls[0] <= 3
 
     def test_invalid_pair(self, eye_json, capsys):
         code, _ = run_main(["factorize", "--in", eye_json, "--p", "1.5", "--q", "1"], capsys)

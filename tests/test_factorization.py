@@ -43,6 +43,63 @@ class TestSolveDual:
             assert dual.value >= primal.value - 1e-6
             assert dual.value - primal.value <= 1e-4 * dual.value
 
+    @pytest.mark.parametrize("pair", [NormPair(math.inf, 1.0), NormPair(4.0, 4.0 / 3.0)])
+    def test_dual_is_repaired_cs_point(self, pair):
+        # s_i = c ||(AV)_i|| / ||u^i|| and t_j = c ||(A^T U)_j|| / ||v^j||
+        # with one repair scalar c >= 1 for all weights
+        A = np.random.default_rng(40).standard_normal((40, 40))
+        inst = ProblemInstance(A, pair)
+        primal = solve_cp(inst)
+        dual = solve_dual(inst, primal=primal)
+        cs_s = np.linalg.norm(A @ primal.V, axis=1) / np.linalg.norm(primal.U, axis=1)
+        cs_t = np.linalg.norm(A.T @ primal.U, axis=1) / np.linalg.norm(primal.V, axis=1)
+        c = dual.s[0] / cs_s[0]
+        assert c >= 1.0
+        np.testing.assert_allclose(dual.s, c * cs_s, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dual.t, c * cs_t, rtol=1e-12, atol=0.0)
+        assert dual.min_eigenvalue >= -1e-9
+        assert dual.value >= primal.value
+
+    def test_spectral_stall_instance_is_covered(self):
+        # solve_cp stops on an objective stall just below ||A||_2 here; the
+        # dual value is still an upper bound, with a small gap
+        A = np.random.default_rng(0).standard_normal((8, 8))
+        inst = ProblemInstance(A, NormPair(2.0, 2.0))
+        primal = solve_cp(inst)
+        dual = solve_dual(inst, primal=primal)
+        assert dual.value >= np.linalg.norm(A, 2)
+        assert dual.value - primal.value <= 1e-4 * dual.value
+
+
+SHAPES = {
+    "rank-1": lambda rng: np.outer(rng.standard_normal(10), rng.standard_normal(10)),
+    "sparse": lambda rng: rng.standard_normal((10, 10)) * (rng.random((10, 10)) < 0.3),
+    "nonnegative": lambda rng: np.abs(rng.standard_normal((10, 10))),
+    "gaussian": lambda rng: rng.standard_normal((10, 10)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("pair", [NormPair(math.inf, 1.0), NormPair(4.0, 4.0 / 3.0),
+                                  NormPair(2.0, 2.0)], ids=["inf-1", "4-4_3", "2-2"])
+def test_sandwich_family(shape, pair):
+    for seed in range(3):
+        A = SHAPES[shape](np.random.default_rng(seed))
+        inst = ProblemInstance(A, pair)
+        primal = solve_cp(inst, seed=seed)
+        dual = solve_dual(inst, primal=primal)
+        lower = brute_force_norm(inst, seed=seed)
+        assert lower <= dual.value
+        # weak duality, up to rounding where the relaxation is tight (rank one)
+        assert primal.value <= dual.value * (1.0 + 1e-12)
+        # solve_cp stops on an objective stall, which leaves its value up to
+        # 7.7e-9 relative below the Holder lower bound in this family
+        assert lower <= primal.value * (1.0 + 1e-8)
+        cert = build_certificate(inst, dual.s, dual.t)
+        assert cert.spectral_norm_B <= 1.0 + 1e-9
+        assert cert.reconstruction_error <= 1e-12 * np.max(np.abs(A))
+        assert cert.norm_product <= cert.dual_value * (1.0 + 1e-12)
+
 
 class TestCertificate:
     def test_identity(self):
