@@ -56,7 +56,3 @@ def revert_odd_batch(F):
             P = newP
     return G
 
-
-def revert_odd(coeffs_w):
-    """Single-series convenience wrapper around :func:`revert_odd_batch`."""
-    return revert_odd_batch(np.asarray(coeffs_w, dtype=np.float64)[None, :])[0]

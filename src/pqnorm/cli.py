@@ -62,10 +62,10 @@ def cmd_bounds(args) -> int:
     else:
         ps = [pval]
     if args.q_text == "dual":
-        reports = krivine.bounds_sweep(ps, q_rule="dual", K=args.order)
+        reports = krivine.bounds_sweep(ps, q_rule="dual", K=args.order, tol=args.tol)
     else:
         reports = krivine.bounds_sweep(ps, q_rule="fixed", K=args.order,
-                                       q_fixed=float(args.q_text))
+                                       q_fixed=float(args.q_text), tol=args.tol)
     header = "p,q,a,b,c_ab,ratio,krivine_ratio,steinberg_ratio,K,tail_bound"
     lines = [header]
     for rep in reports:
@@ -82,7 +82,7 @@ def cmd_round(args) -> int:
     sol = relaxation.solve_cp(inst, seed=args.seed)
     report = krivine.approx_ratio(inst.pair, K=args.order, tol=args.tol)
     tg = rounding.build_transformed_gram(sol, inst.pair, report.c_ab, K=args.order)
-    rs = rounding.sample_round(inst, tg, sol, num_samples=args.samples, seed=args.seed)
+    rs = rounding.sample_round(inst, tg, num_samples=args.samples, seed=args.seed)
     _emit([_dumps({
         "cp_value": sol.value,
         "c_ab": report.c_ab,

@@ -87,12 +87,9 @@ def f_bar_series(pair: NormPair, K: int = CERT_ORDER) -> TruncatedSeries:
     """Odd series rho + ((1-a)(1-b)/6) rho^3 + ... of order K."""
     if K < 1:
         raise DomainError("order K must be >= 1")
-    M = (K - 1) // 2
-    w = f_bar_w_coeffs(pair.a, pair.b, M)
-    s = TruncatedSeries.from_odd_compressed(w)
-    if s.order != K:
-        s = TruncatedSeries(np.pad(s.coeffs, (0, K - s.order)), odd=True)
-    return s
+    c = np.zeros(K + 1)
+    c[1::2] = f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2)
+    return TruncatedSeries(c, odd=True)
 
 
 def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
@@ -125,12 +122,12 @@ def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
                 hi = mid
         return lo
 
-    c = bisect(lambda x: series.evaluate(h, x)[0] + series.tail_estimate(h, x))
-    val, tail = series.evaluate(h, c)
-    if val < 1.0 - tol:
-        plain_root = bisect(lambda x: series.evaluate(h, x)[0])
+    tail = series.tail_fit(h)
+    c = bisect(lambda x: series.evaluate(h, x) + tail(x))
+    if series.evaluate(h, c) < 1.0 - tol:
+        plain_root = bisect(lambda x: series.evaluate(h, x))
         raise CertificationError(
-            f"tail estimate {tail:.3e} too large to certify hhat(c) within {tol:.1e}",
+            f"tail estimate {tail(c):.3e} too large to certify hhat(c) within {tol:.1e}",
             uncertified=plain_root,
         )
     return c, h
@@ -155,7 +152,7 @@ def approx_ratio(pair: NormPair, K: int = CERT_ORDER, certify: bool = False,
     pair (t = 31 and the default radius).
     """
     c, h = compute_c_ab(pair, K, tol=tol)
-    _, tail = series.evaluate(h, c)
+    tail = series.tail_estimate(h, c)
     ratio = 1.0 / (gaussian_moment(pair.p_star) * gaussian_moment(pair.q) * c)
     defect = None
     if certify:
@@ -323,13 +320,16 @@ def _odd_tail_estimate(absG: np.ndarray, x: float) -> np.ndarray:
     return tails
 
 
-def _hhat(absG: np.ndarray, x) -> np.ndarray:
-    """hhat(x) = sum_m absG[:, m] x^(2m+1) per row, by Horner in w = x^2;
-    ``x`` is a scalar or one value per row."""
+def odd_horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """sum_m coeffs[..., m] x^(2m+1) by Horner in w = x^2.
+
+    Broadcasts: grid rows ``coeffs`` of shape (B, M+1) against a scalar or
+    one ``x`` per row, or one coefficient vector against a matrix ``x``
+    (entrywise)."""
     w = x * x
-    acc = np.zeros(absG.shape[0])
-    for m in range(absG.shape[1] - 1, -1, -1):
-        acc = acc * w + absG[:, m]
+    acc = 0.0
+    for m in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * w + coeffs[..., m]
     return x * acc
 
 
@@ -354,7 +354,7 @@ def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
     powers = delta ** (2 * np.arange(m0, M + 1) + 1)
     h_err = absG[:, m0:] @ powers + _odd_tail_estimate(absG, delta)
     rho = np.minimum(delta, np.arcsinh(1.0 - 2.0 * h_err))
-    hhat_at_rho = _hhat(absG, rho)
+    hhat_at_rho = odd_horner(absG, rho)
     ok = bool(conds.all_pass and np.all(hhat_at_rho <= 1.0 + 1e-9))
     return DefectCertificate(
         t_odd=t_odd,
@@ -371,7 +371,7 @@ def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
 def hhat_grid_max(x0: float, grid=101, K: int = CERT_ORDER) -> float:
     """max over the (a,b) grid of hhat(x0) at truncation order K."""
     absG = np.abs(_coeff_grid(grid, K).G)
-    return float(np.max(_hhat(absG, x0)))
+    return float(np.max(odd_horner(absG, x0)))
 
 
 def cotype2_constant(exponent: float) -> float:
@@ -385,8 +385,10 @@ def cotype2_constant(exponent: float) -> float:
     return max(2.0 ** (1.0 / q - 0.5), 1.0 / gaussian_moment(q))
 
 
-def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER, q_fixed: Optional[float] = None):
-    """BoundReports for a sweep over p; q is p* under the default rule."""
+def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER,
+                 q_fixed: Optional[float] = None, tol: float = 1e-4):
+    """BoundReports for a sweep over p; q is p* under the default rule.
+    ``tol`` certifies each c_ab as in :func:`approx_ratio`."""
     reports = []
     for p in p_values:
         if q_rule == "dual":
@@ -397,5 +399,5 @@ def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER, q_fixed: O
             q = q_fixed
         else:
             raise DomainError(f"unknown q rule {q_rule!r}")
-        reports.append(approx_ratio(NormPair(p=p, q=q), K=K))
+        reports.append(approx_ratio(NormPair(p=p, q=q), K=K, tol=tol))
     return reports

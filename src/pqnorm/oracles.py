@@ -47,7 +47,7 @@ def correlation_reference(a: float, b: float, rho: float, K: int = 400) -> float
     """gamma_{a+1}^{a+1} gamma_{b+1}^{b+1} * rho * 2F1(...; rho^2), the
     closed form the Monte Carlo is checked against."""
     pair = NormPair.from_ab(a, b)
-    val, _ = evaluate(f_bar_series(pair, K), rho)
+    val = evaluate(f_bar_series(pair, K), rho)
     return gaussian_moment_pow(a + 1.0) * gaussian_moment_pow(b + 1.0) * val
 
 

@@ -3,17 +3,20 @@ factorization, Gaussian sampling, and the Holder-dual map back to feasible
 points on the unit spheres."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import series
 from .errors import AccuracyError, DomainError
-from .krivine import NormPair, f_bar_series
+from .krivine import NormPair, f_bar_series, odd_horner
 from .relaxation import ProblemInstance, RelaxationSolution, unit_rows
 from .specfun import gaussian_moment_pow
 
 _REPAIR_LIMIT = 1e-6
+
+#: Gaussian samples drawn and scored per block in sample_round
+_CHUNK = 65536
 
 
 def holder_dual(z: np.ndarray, r: float) -> np.ndarray:
@@ -38,10 +41,9 @@ def holder_dual(z: np.ndarray, r: float) -> np.ndarray:
 class TransformedGram:
     """Gram matrix of the transformed embeddings plus the row-scale data.
 
-    Row scales are kept symbolically as (base, exponent) pairs: the bases
-    are the solution row norms and the exponents 1/b, 1/a; downstream only
-    well-posed folded powers such as base^((1/b)*b) = base are evaluated,
-    which sidesteps the 0^inf trap when b or a is 0.
+    The row scales are the solution row norms raised to 1/b (u side) and
+    1/a (v side); an exponent of 0 leaves its side unscaled, which
+    sidesteps the 0^inf trap because the sign map ignores row scaling.
     """
 
     M: np.ndarray
@@ -51,7 +53,6 @@ class TransformedGram:
     pair: NormPair
     c_ab: float
     psd_repair_shift: float
-    diag_target: np.ndarray = field(repr=False, default=None)
 
     @property
     def m(self) -> int:
@@ -61,27 +62,14 @@ class TransformedGram:
     def n(self) -> int:
         return self.v_norms.size
 
-    def scale_pow(self, which: str, power: float) -> np.ndarray:
-        """Fold (base^(1/exp_ab))^power symbolically: base^(power/exp_ab)."""
-        if which == "u":
-            base, e = self.u_norms, self.pair.b
-        else:
-            base, e = self.v_norms, self.pair.a
-        if power == e:  # the common case ||.||^((1/b)*b)
-            return base.copy()
-        if e == 0.0:
-            # scale-free: the sign map downstream ignores row scaling
-            return np.ones_like(base)
-        return base ** (power / e)
+    def scaled_factors(self):
+        """The factor rows of the u and v blocks times their row scales."""
+        def scale(norms, e):
+            return np.ones_like(norms) if e == 0.0 else norms ** (1.0 / e)
 
-
-def _eval_odd_matrix(w_coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Entrywise sum_m w_coeffs[m] X^(2m+1) by Horner in X^2."""
-    X2 = X * X
-    acc = np.zeros_like(X)
-    for c in w_coeffs[::-1]:
-        acc = acc * X2 + c
-    return X * acc
+        m = self.m
+        return (self.factor[:m] * scale(self.u_norms, self.pair.b)[:, None],
+                self.factor[m:] * scale(self.v_norms, self.pair.a)[:, None])
 
 
 def build_transformed_gram(sol: RelaxationSolution, pair: NormPair, c_ab: float,
@@ -102,9 +90,9 @@ def build_transformed_gram(sol: RelaxationSolution, pair: NormPair, c_ab: float,
     Vh, v_norms = unit_rows(sol.V)
     m, n = Uh.shape[0], Vh.shape[0]
     clip = lambda X: np.clip(X, -1.0, 1.0)
-    top = _eval_odd_matrix(absg, c_ab * clip(Uh @ Uh.T))
-    bot = _eval_odd_matrix(absg, c_ab * clip(Vh @ Vh.T))
-    off = _eval_odd_matrix(g, c_ab * clip(Uh @ Vh.T))
+    top = odd_horner(absg, c_ab * clip(Uh @ Uh.T))
+    bot = odd_horner(absg, c_ab * clip(Vh @ Vh.T))
+    off = odd_horner(g, c_ab * clip(Uh @ Vh.T))
     M = np.block([[top, off], [off.T, bot]])
     M = 0.5 * (M + M.T)
     target = np.diag(M).copy()
@@ -129,8 +117,7 @@ def build_transformed_gram(sol: RelaxationSolution, pair: NormPair, c_ab: float,
         evals = np.clip(evals, 0.0, None)
     factor = evecs * np.sqrt(evals)
     return TransformedGram(M=M, factor=factor, u_norms=u_norms, v_norms=v_norms,
-                           pair=pair, c_ab=c_ab, psd_repair_shift=shift,
-                           diag_target=target)
+                           pair=pair, c_ab=c_ab, psd_repair_shift=shift)
 
 
 @dataclass
@@ -154,17 +141,15 @@ def _feasible_points(P, Q, pair):
     return y, x, qn, pn
 
 
-def sample_round(inst: ProblemInstance, tg: TransformedGram, sol: RelaxationSolution,
-                 num_samples: int, seed: int = 0, chunk: int = 65536) -> RoundedSolution:
+def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
+                 seed: int = 0) -> RoundedSolution:
     """Sample the rounding: Gaussian projections of the Gram factor rows,
     Holder-dual maps, normalization to the unit spheres, best and mean of
     y^T A x across samples.  Deterministic for fixed seed and sample count."""
     if num_samples < 1:
         raise DomainError(f"sample count must be at least 1, got {num_samples}")
     A, pair = inst.A, tg.pair
-    m = tg.m
-    Lu = tg.factor[:m] * tg.scale_pow("u", 1.0)[:, None]
-    Lv = tg.factor[m:] * tg.scale_pow("v", 1.0)[:, None]
+    Lu, Lv = tg.scaled_factors()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
     d = tg.factor.shape[1]
     best_val = -math.inf
@@ -172,7 +157,7 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, sol: RelaxationSolu
     total = 0.0
     done = 0
     while done < num_samples:
-        count = min(chunk, num_samples - done)
+        count = min(_CHUNK, num_samples - done)
         G = rng.standard_normal((count, d))
         P = G @ Lu.T
         Q = G @ Lv.T
@@ -230,8 +215,7 @@ def rounding_identity_stats(inst: ProblemInstance, tg: TransformedGram,
     A, pair = inst.A, tg.pair
     m, n = tg.m, tg.n
     q, ps, a, b = pair.q, pair.p_star, pair.a, pair.b
-    Lu = tg.factor[:m] * tg.scale_pow("u", 1.0)[:, None]
-    Lv = tg.factor[m:] * tg.scale_pow("v", 1.0)[:, None]
+    Lu, Lv = tg.scaled_factors()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x1D,)))
     G = rng.standard_normal((num_samples, tg.factor.shape[1]))
     P = G @ Lu.T

@@ -1,5 +1,5 @@
-"""Truncated power-series arithmetic: product, composition, reversion,
-coefficient-wise absolute value, and evaluation with a tail estimate."""
+"""Truncated power series: reversion of odd series, coefficient-wise
+absolute value, Horner evaluation, and a fitted geometric tail estimate."""
 
 import math
 from dataclasses import dataclass, field
@@ -48,57 +48,23 @@ class TruncatedSeries:
         return self.coeffs.size - 1
 
     @classmethod
-    def one(cls, K: int) -> "TruncatedSeries":
-        c = np.zeros(K + 1)
-        c[0] = 1.0
-        return cls(c)
-
-    @classmethod
     def identity(cls, K: int) -> "TruncatedSeries":
         c = np.zeros(K + 1)
         if K >= 1:
             c[1] = 1.0
         return cls(c, odd=(K >= 1))
 
-    @classmethod
-    def from_odd_compressed(cls, w_coeffs) -> "TruncatedSeries":
-        """Expand f(rho) = sum_m w_coeffs[m] rho**(2m+1) to degree form."""
-        w = np.asarray(w_coeffs, dtype=np.float64)
-        c = np.zeros(2 * w.size)
-        c[1::2] = w
-        return cls(c, odd=True)
-
     def odd_compressed(self) -> np.ndarray:
         if not self.odd:
             raise ValueError("series is not flagged odd")
         return self.coeffs[1::2].copy()
 
-    def eval(self, x: float):
+    def eval(self, x: float) -> float:
         return evaluate(self, x)
 
     def __repr__(self):
         head = np.array2string(self.coeffs[: min(6, self.coeffs.size)], precision=6)
         return f"TruncatedSeries(K={self.order}, odd={self.odd}, coeffs={head}...)"
-
-
-def multiply(s1: TruncatedSeries, s2: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the smaller order."""
-    K = min(s1.order, s2.order)
-    prod = np.convolve(s1.coeffs[: K + 1], s2.coeffs[: K + 1])[: K + 1]
-    return TruncatedSeries(prod, odd=False)
-
-
-def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(x)) truncated at the smaller order; inner(0) must be 0."""
-    if inner.coeffs[0] != 0.0:
-        raise DomainError("composition requires the inner series to vanish at 0")
-    K = min(outer.order, inner.order)
-    ic = inner.coeffs[: K + 1]
-    acc = np.zeros(K + 1)
-    for c in outer.coeffs[K::-1]:
-        acc = np.convolve(acc, ic)[: K + 1]
-        acc[0] += c
-    return TruncatedSeries(acc, odd=(outer.odd and inner.odd))
 
 
 def abs_map(s: TruncatedSeries) -> TruncatedSeries:
@@ -107,35 +73,19 @@ def abs_map(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def revert(s: TruncatedSeries) -> TruncatedSeries:
-    """Functional inverse g with g(s(x)) = x + O(x^(K+1)).
+    """Functional inverse g with g(s(x)) = x + O(x^(K+1)) of an odd series.
 
-    Requires s(0) = 0 and a nonzero linear coefficient.  Odd input takes the
-    compressed kernel path (cheap and exactly odd); the general case runs a
-    triangular solve against the power table of s.
+    Requires the odd flag and a nonzero linear coefficient; runs the batched
+    compressed kernel on the one series, so the inverse is exactly odd.
     """
     c = s.coeffs
-    if c[0] != 0.0:
-        raise DomainError("reversion requires zero constant coefficient")
+    if not s.odd:
+        raise DomainError("reversion requires a series flagged odd")
     if s.order < 1 or c[1] == 0.0:
         raise DomainError("reversion requires a nonzero linear coefficient")
-    if s.odd:
-        G = _kernels.revert_odd(s.odd_compressed())
-        out = TruncatedSeries.from_odd_compressed(G)
-        if out.order < s.order:  # even K: top even coefficient is exactly 0
-            out = TruncatedSeries(np.pad(out.coeffs, (0, s.order - out.order)), odd=True)
-        elif out.order > s.order:
-            out = TruncatedSeries(out.coeffs[: s.order + 1], odd=True)
-        return out
-    K = s.order
-    g = np.zeros(K + 1)
-    g[1] = 1.0 / c[1]
-    powers = np.zeros((K + 1, K + 1))
-    powers[1] = c
-    for j in range(2, K + 1):
-        powers[j] = np.convolve(powers[j - 1], c)[: K + 1]
-    for m in range(2, K + 1):
-        g[m] = -np.dot(g[1:m], powers[1:m, m]) / powers[m, m]
-    return TruncatedSeries(g, odd=False)
+    g = np.zeros(s.order + 1)
+    g[1::2] = _kernels.revert_odd_batch(c[None, 1::2])[0]
+    return TruncatedSeries(g, odd=True)
 
 
 #: coefficients below this fraction of the largest one are treated as the
@@ -143,41 +93,46 @@ def revert(s: TruncatedSeries) -> TruncatedSeries:
 _NOISE_REL = 1e-14
 
 
-def tail_estimate(s: TruncatedSeries, x: float) -> float:
-    """Geometric tail bound past the truncation order at the point x.
+def tail_fit(s: TruncatedSeries):
+    """Geometric tail bound past the truncation order, as a function of x.
 
     Fits the per-degree growth ratio from the last up-to-10 significant
-    coefficients (nonzero and above the noise floor) and bounds the
-    discarded tail by the geometric sum it implies; returns inf when the
-    fitted ratio times |x| reaches 1, and 0 when there are too few
-    significant coefficients to fit a ratio (the series is then taken to
-    be exact to working precision).
+    coefficients (nonzero and above the noise floor) once; the returned
+    function bounds the discarded tail at x by the geometric sum it implies.
+    That bound is inf when the fitted ratio times |x| reaches 1, and 0 when
+    there are too few significant coefficients to fit a ratio (the series is
+    then taken to be exact to working precision).
     """
-    c = s.coeffs
-    absc = np.abs(c)
+    absc = np.abs(s.coeffs)
     top = float(np.max(absc))
-    if top == 0.0:
-        return 0.0
     sig = np.flatnonzero(absc >= _NOISE_REL * top)
-    if sig.size < 2:
-        return 0.0
+    if top == 0.0 or sig.size < 2:
+        return lambda x: 0.0
     idx = sig[-10:]
     vals = absc[idx]
     # per-degree ratio; consecutive significant entries may be degrees apart
     ratios = (vals[1:] / vals[:-1]) ** (1.0 / np.diff(idx))
     rho_hat = float(np.max(ratios))
-    r = rho_hat * abs(x)
-    if r >= 1.0:
-        return math.inf
-    k_last = int(idx[-1])
-    K = s.order
-    # sum_{k > K} |c_last| * rho_hat^(k - k_last) * |x|^k
-    return float(vals[-1] * abs(x) ** k_last * r ** (K + 1 - k_last) / (1.0 - r))
+    c_last, k_last, K = vals[-1], int(idx[-1]), s.order
+
+    def tail(x: float) -> float:
+        r = rho_hat * abs(x)
+        if r >= 1.0:
+            return math.inf
+        # sum_{k > K} |c_last| * rho_hat^(k - k_last) * |x|^k
+        return float(c_last * abs(x) ** k_last * r ** (K + 1 - k_last) / (1.0 - r))
+
+    return tail
 
 
-def evaluate(s: TruncatedSeries, x: float):
-    """Horner evaluation at x; returns (value, tail_estimate)."""
+def tail_estimate(s: TruncatedSeries, x: float) -> float:
+    """The :func:`tail_fit` bound of ``s`` at the one point x."""
+    return tail_fit(s)(x)
+
+
+def evaluate(s: TruncatedSeries, x: float) -> float:
+    """Horner evaluation at x."""
     acc = 0.0
     for c in s.coeffs[::-1]:
         acc = acc * x + c
-    return float(acc), tail_estimate(s, x)
+    return float(acc)

@@ -3,12 +3,12 @@ Euler-integral continuation of the correlation function off the unit disk."""
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError
+from .series import TruncatedSeries
 
 # Lanczos approximation, g = 7, 9 terms (double precision set).
 _LANCZOS_G = 7.0
@@ -79,24 +79,6 @@ def gaussian_moment(r: float) -> float:
     return math.exp(logpow / r) if r else 1.0
 
 
-@dataclass(frozen=True)
-class GaussianMoment:
-    """The pair (r, gamma_r); gamma_2 = 1 and gamma_r is nondecreasing in r."""
-
-    r: float
-    value: float
-
-    @classmethod
-    def compute(cls, r: float) -> "GaussianMoment":
-        return cls(r=float(r), value=gaussian_moment(r))
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise DomainError("exponent must be nonnegative")
-        if not self.value > 0:
-            raise ValueError("moment norm must be positive")
-
-
 def _validate_lower_param(beta) -> None:
     if beta <= 0 and abs(beta - round(beta)) < 1e-12:
         raise DomainError(f"denominator parameter {beta} is a nonpositive integer")
@@ -110,8 +92,6 @@ def hyp_coeffs(kind: str, params, K: int):
     (w)_k (alpha)_k/((beta)_k k!), by the rising-factorial recurrence.
     Returns a :class:`~pqnorm.series.TruncatedSeries` of order K.
     """
-    from .series import TruncatedSeries
-
     if K < 0:
         raise DomainError("order K must be >= 0")
     if kind == "1F1":

@@ -63,6 +63,29 @@ class TestBounds:
         code, _ = run_main(["bounds", "--p", "8:4"], capsys)
         assert code == 2
 
+    def test_unsatisfiable_tolerance_is_exit_3(self, capsys):
+        # the tail at (4, 4/3) is 2.7e-10, so 1e-13 cannot be certified
+        code, out = run_main(["bounds", "--p", "4", "--tol", "1e-13"], capsys)
+        assert code == 3
+        assert out == ""
+
+    def test_tail_fitted_at_most_twice(self, monkeypatch, capsys):
+        # one fit for the bisection in compute_c_ab, one for the reported
+        # tail_bound; refitting at every bisection step made ~200
+        from pqnorm import series
+
+        fits = []
+        fit = series.tail_fit
+
+        def counting(s):
+            fits.append(s.order)
+            return fit(s)
+
+        monkeypatch.setattr(series, "tail_fit", counting)
+        code, _ = run_main(["bounds", "--p", "4"], capsys)
+        assert code == 0
+        assert 1 <= len(fits) <= 2
+
 
 class TestRound:
     def test_sign_matrix(self, sign_csv, capsys):

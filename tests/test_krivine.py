@@ -18,9 +18,10 @@ from pqnorm.krivine import (
     f_bar_series,
     hhat_grid_max,
     inverse_coeff_grid,
+    odd_horner,
     steinberg_ratio,
 )
-from pqnorm.series import evaluate
+from pqnorm.series import evaluate, tail_estimate
 
 ASINH1 = math.asinh(1.0)
 
@@ -87,8 +88,7 @@ class TestComputeC:
     def test_grothendieck_constant(self):
         c, h = compute_c_ab(NormPair(p=math.inf, q=1.0), K=60, tol=1e-9)
         assert c == pytest.approx(math.log(1.0 + math.sqrt(2.0)), abs=1e-10)
-        val, tail = evaluate(h, c)
-        assert 1.0 - 1e-9 <= val + tail <= 1.0 + 1e-12
+        assert 1.0 - 1e-9 <= evaluate(h, c) + tail_estimate(h, c) <= 1.0 + 1e-12
 
     def test_a_equal_one(self):
         c, _ = compute_c_ab(NormPair(p=2.0, q=1.0), K=60)
@@ -107,11 +107,11 @@ class TestComputeC:
             lo, hi = 0.0, 0.95
             for _ in range(70):
                 mid = 0.5 * (lo + hi)
-                if evaluate(fser, mid)[0] < y:
+                if evaluate(fser, mid) < y:
                     lo = mid
                 else:
                     hi = mid
-            assert evaluate(finv, y)[0] == pytest.approx(lo, abs=1e-10)
+            assert evaluate(finv, y) == pytest.approx(lo, abs=1e-10)
 
     def test_monotone_in_a_and_b_M4(self):
         cs = []
@@ -235,9 +235,38 @@ class TestDefectCertificate:
         a, b, G = inverse_coeff_grid(pts, K=60)
         for i in range(a.size):
             h = abs_map(revert(f_bar_series(NormPair.from_ab(a[i], b[i]), K=60)))
-            direct, _ = evaluate(h, x0)
+            direct = evaluate(h, x0)
             batched = x0 * np.polynomial.polynomial.polyval(x0 * x0, np.abs(G[i]))
             assert batched == pytest.approx(direct, abs=1e-14)
+
+
+class TestOddHorner:
+    """The one odd Horner equals the per-entry scalar loop bit for bit."""
+
+    @staticmethod
+    def scalar(coeffs, x):
+        w = x * x
+        acc = 0.0
+        for c in coeffs[::-1]:
+            acc = acc * w + c
+        return x * acc
+
+    def test_one_vector_against_a_matrix(self):
+        rng = np.random.default_rng(4)
+        g = rng.uniform(-1.0, 1.0, 30) * 0.7 ** np.arange(30)
+        X = rng.uniform(-1.0, 1.0, (7, 9))
+        got = odd_horner(g, X)
+        assert got.shape == X.shape
+        ref = np.array([[self.scalar(g, float(x)) for x in row] for row in X])
+        assert np.array_equal(got, ref)
+
+    def test_grid_rows_against_per_row_and_scalar_x(self):
+        absG = np.abs(inverse_coeff_grid(7, K=60).G)
+        rho = np.linspace(0.1, 0.9, absG.shape[0])
+        got = odd_horner(absG, rho)
+        assert np.array_equal(got, [self.scalar(row, float(r)) for row, r in zip(absG, rho)])
+        got = odd_horner(absG, 0.7)
+        assert np.array_equal(got, [self.scalar(row, 0.7) for row in absG])
 
 
 def odd_tail_reference(absG, x):

@@ -106,21 +106,21 @@ class TestSampleRound:
         for p, q in [(math.inf, 1.0), (4.0, 4.0 / 3.0), (2.0, 2.0), (3.0, 1.5),
                      (2.0, 1.0), (math.inf, 2.0)]:
             inst, sol, c, tg = pipeline(rng.standard_normal((5, 4)), p, q)
-            rs = sample_round(inst, tg, sol, num_samples=64, seed=5)
+            rs = sample_round(inst, tg, num_samples=64, seed=5)
             assert lp_norm(rs.y, inst.pair.q_star) == pytest.approx(1.0, abs=1e-9)
             assert lp_norm(rs.x, inst.pair.p) == pytest.approx(1.0, abs=1e-9)
 
     def test_sign_matrix_reaches_two(self):
         A = np.array([[1.0, 1.0], [1.0, -1.0]])
         inst, sol, c, tg = pipeline(A, math.inf, 1.0)
-        rs = sample_round(inst, tg, sol, num_samples=512, seed=7)
+        rs = sample_round(inst, tg, num_samples=512, seed=7)
         true = brute_force_norm(inst)
         assert rs.value <= true + 1e-9
         assert rs.value == pytest.approx(2.0, abs=1e-9)
 
     def test_identity_p2q2(self):
         inst, sol, c, tg = pipeline(np.eye(3), 2.0, 2.0)
-        rs = sample_round(inst, tg, sol, num_samples=256, seed=9)
+        rs = sample_round(inst, tg, num_samples=256, seed=9)
         assert rs.value <= 1.0 + 1e-9
         assert rs.value > 0.9
 
@@ -128,7 +128,7 @@ class TestSampleRound:
         rng = np.random.default_rng(31)
         A = rng.standard_normal((10, 8))
         inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0)
-        rs = sample_round(inst, tg, sol, num_samples=10_000, seed=11)
+        rs = sample_round(inst, tg, num_samples=10_000, seed=11)
         bf = brute_force_norm(inst, seed=12)
         ratio = approx_ratio(inst.pair, K=60).ratio
         assert rs.value <= bf + 1e-6
@@ -139,7 +139,7 @@ class TestSampleRound:
         rng = np.random.default_rng(57)
         A = rng.standard_normal((6, 5))
         inst, sol, c, tg = pipeline(A, p, q)
-        rs = sample_round(inst, tg, sol, num_samples=4000, seed=3)
+        rs = sample_round(inst, tg, num_samples=4000, seed=3)
         bf = brute_force_norm(inst, seed=4)
         assert rs.value <= bf + 1e-6
         assert rs.value >= sol.value / approx_ratio(inst.pair, K=60).ratio * 0.9
@@ -147,8 +147,8 @@ class TestSampleRound:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(41)
         inst, sol, c, tg = pipeline(rng.standard_normal((4, 4)), math.inf, 1.0)
-        r1 = sample_round(inst, tg, sol, num_samples=128, seed=13)
-        r2 = sample_round(inst, tg, sol, num_samples=128, seed=13)
+        r1 = sample_round(inst, tg, num_samples=128, seed=13)
+        r2 = sample_round(inst, tg, num_samples=128, seed=13)
         assert r1.value == r2.value
         assert np.array_equal(r1.y, r2.y)
 

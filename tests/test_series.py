@@ -7,12 +7,24 @@ from pqnorm.errors import DomainError
 from pqnorm.series import (
     TruncatedSeries,
     abs_map,
-    compose,
     evaluate,
-    multiply,
     revert,
     tail_estimate,
+    tail_fit,
 )
+
+
+def compose(outer, inner):
+    """outer(inner(x)) truncated at the smaller order: the round-trip oracle
+    for reversion, by Horner over truncated Cauchy products."""
+    assert inner.coeffs[0] == 0.0
+    K = min(outer.order, inner.order)
+    ic = inner.coeffs[: K + 1]
+    acc = np.zeros(K + 1)
+    for c in outer.coeffs[K::-1]:
+        acc = np.convolve(acc, ic)[: K + 1]
+        acc[0] += c
+    return TruncatedSeries(acc)
 
 
 def sin_series(K):
@@ -32,8 +44,23 @@ def arcsin_series(K):
     return TruncatedSeries(c, odd=True)
 
 
-def exp_series(K):
-    return TruncatedSeries([1.0 / math.factorial(k) for k in range(K + 1)])
+def tail_reference(s, x):
+    """The fit and the geometric tail at one point, in one pass, as a
+    reference for the fit-once form."""
+    absc = np.abs(s.coeffs)
+    top = float(np.max(absc))
+    if top == 0.0:
+        return 0.0
+    sig = np.flatnonzero(absc >= 1e-14 * top)
+    if sig.size < 2:
+        return 0.0
+    idx = sig[-10:]
+    vals = absc[idx]
+    r = float(np.max((vals[1:] / vals[:-1]) ** (1.0 / np.diff(idx)))) * abs(x)
+    if r >= 1.0:
+        return math.inf
+    k_last = int(idx[-1])
+    return float(vals[-1] * abs(x) ** k_last * r ** (s.order + 1 - k_last) / (1.0 - r))
 
 
 class TestType:
@@ -51,26 +78,6 @@ class TestType:
 
     def test_order(self):
         assert TruncatedSeries([1.0, 2.0, 3.0]).order == 2
-
-
-class TestMultiply:
-    def test_one_plus_x_times_one_minus_x(self):
-        s = multiply(TruncatedSeries([1.0, 1.0, 0.0]), TruncatedSeries([1.0, -1.0, 0.0]))
-        assert np.allclose(s.coeffs, [1.0, 0.0, -1.0])
-
-    def test_exp_squared_is_exp_2x(self):
-        # oracle: coefficient k of exp(2x) is 2^k / k!
-        s = multiply(exp_series(5), exp_series(5))
-        ref = [2.0 ** k / math.factorial(k) for k in range(6)]
-        assert np.allclose(s.coeffs, ref, rtol=1e-14)
-
-    def test_identity_one(self):
-        s = TruncatedSeries([0.3, -1.2, 0.77])
-        assert np.allclose(multiply(s, TruncatedSeries.one(2)).coeffs, s.coeffs)
-
-    def test_truncates_to_min_order(self):
-        s = multiply(exp_series(8), exp_series(3))
-        assert s.order == 3
 
 
 class TestRevert:
@@ -96,28 +103,27 @@ class TestRevert:
             revert(TruncatedSeries([1.0, 1.0]))
         with pytest.raises(DomainError):
             revert(TruncatedSeries([0.0, 0.0, 1.0]))
+        with pytest.raises(DomainError):
+            revert(TruncatedSeries([0.0, 0.0, 0.0, 1.0], odd=True))
 
-    def test_general_matches_odd_path(self):
-        # same series run through the compressed odd kernel and the dense solve
-        rng = np.random.default_rng(7)
-        c = np.zeros(31)
-        c[1::2] = rng.uniform(-0.5, 0.5, 15)
-        c[1] = 1.2
-        odd = TruncatedSeries(c, odd=True)
-        dense = TruncatedSeries(c, odd=False)
-        assert np.allclose(revert(odd).coeffs, revert(dense).coeffs, atol=1e-12)
+    def test_rejects_series_not_flagged_odd(self):
+        # odd coefficients alone are not enough: the flag selects the kernel
+        with pytest.raises(DomainError, match="odd"):
+            revert(TruncatedSeries([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(DomainError, match="odd"):
+            revert(TruncatedSeries([0.0, 1.0, 0.5]))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_properties(self, seed):
         # revert(revert(s)) = s and compose(s, revert(s)) = id for
-        # well-conditioned series: |s1| in [0.5, 2], decaying higher terms
-        # so the inverse coefficients stay O(1)
+        # well-conditioned odd series: |s1| in [0.5, 2], decaying higher
+        # terms so the inverse coefficients stay O(1)
         rng = np.random.default_rng(seed)
-        K = 14
+        K = 15
         c = np.zeros(K + 1)
         c[1] = math.copysign(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
-        c[2:] = c[1] * rng.uniform(-0.5, 0.5, K - 1) * 0.3 ** np.arange(1, K)
-        s = TruncatedSeries(c)
+        c[3::2] = c[1] * rng.uniform(-0.5, 0.5, K // 2) * 0.3 ** np.arange(2, K, 2)
+        s = TruncatedSeries(c, odd=True)
         g = revert(s)
         assert np.allclose(revert(g).coeffs, s.coeffs, atol=1e-10)
         assert np.allclose(compose(s, g).coeffs, TruncatedSeries.identity(K).coeffs, atol=1e-10)
@@ -147,32 +153,33 @@ class TestAbsMap:
         rng = np.random.default_rng(3)
         s = TruncatedSeries(rng.uniform(-1, 1, 12))
         for x in [0.0, 0.2, 0.7]:
-            v, _ = evaluate(s, x)
-            va, _ = evaluate(abs_map(s), x)
-            assert va >= abs(v) - 1e-14
+            assert evaluate(abs_map(s), x) >= abs(evaluate(s, x)) - 1e-14
 
 
 class TestEvaluate:
     def test_sin_at_zero(self):
-        assert evaluate(sin_series(11), 0.0) == (0.0, 0.0)
+        assert evaluate(sin_series(11), 0.0) == 0.0
+        assert tail_estimate(sin_series(11), 0.0) == 0.0
+
+    def test_returns_a_float(self):
+        v = sin_series(11).eval(0.5)
+        assert type(v) is float
+        assert v == evaluate(sin_series(11), 0.5)
 
     def test_sinh_closed_form(self):
         s = abs_map(sin_series(40))
-        v, tail = evaluate(s, 0.88)
-        assert v == pytest.approx(math.sinh(0.88), abs=1e-10)
-        assert tail < 1e-10
+        assert evaluate(s, 0.88) == pytest.approx(math.sinh(0.88), abs=1e-10)
+        assert tail_estimate(s, 0.88) < 1e-10
 
     def test_arcsin_near_edge_bounded_by_tail(self):
         # At K = 200 and x = 0.99 the true truncation error is ~1.2e-3; the
         # tail estimate must cover it (the honest accuracy at this point).
         s = arcsin_series(200)
-        v, tail = evaluate(s, 0.99)
-        err = abs(v - math.asin(0.99))
+        err = abs(evaluate(s, 0.99) - math.asin(0.99))
         assert err < 3e-3
-        assert err <= tail * 1.001
+        assert err <= tail_estimate(s, 0.99) * 1.001
         # away from the edge the truncation is sharp
-        v9, _ = evaluate(s, 0.9)
-        assert abs(v9 - math.asin(0.9)) < 1e-9
+        assert abs(evaluate(s, 0.9) - math.asin(0.9)) < 1e-9
 
     def test_tail_unbounded_when_ratio_exceeds_one(self):
         s = TruncatedSeries(np.ones(30))  # geometric series, radius 1
@@ -180,3 +187,12 @@ class TestEvaluate:
 
     def test_exact_series_has_zero_tail(self):
         assert tail_estimate(TruncatedSeries.identity(5), 0.9) == 0.0
+
+    def test_fit_once_matches_pointwise_reference(self):
+        # one fit serves every x, bit for bit, on both sides of the radius
+        for s in [arcsin_series(200), abs_map(sin_series(40)),
+                  TruncatedSeries(np.ones(30)), TruncatedSeries.identity(5),
+                  TruncatedSeries(np.zeros(4))]:
+            tail = tail_fit(s)
+            for x in [0.0, 0.3, -0.7, 0.99, 1.0, 1.2]:
+                assert tail(x) == tail_estimate(s, x) == tail_reference(s, x)

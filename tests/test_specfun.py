@@ -10,7 +10,6 @@ from pqnorm import specfun
 from pqnorm.errors import DomainError
 from pqnorm.oracles import _contour_points
 from pqnorm.specfun import (
-    GaussianMoment,
     euler_continuation,
     gamma_fn,
     gaussian_moment,
@@ -108,12 +107,6 @@ class TestGaussianMoment:
         with pytest.raises(DomainError):
             gaussian_moment_pow(302.0)
 
-    def test_dataclass_invariants(self):
-        gm = GaussianMoment.compute(2.0)
-        assert gm.value == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            GaussianMoment.compute(-1.0)
-
 
 class TestHypCoeffs:
     def test_arcsin_series(self):
@@ -165,7 +158,7 @@ class TestEulerContinuation:
 
         s = f_bar_series(NormPair.from_ab(a, b), K=301)
         for x in [-0.8, -0.3, 0.2, 0.6, 0.85]:
-            ref, _ = evaluate(s, x)
+            ref = evaluate(s, x)
             val = euler_continuation(x, a, b)
             assert val.real == pytest.approx(ref, rel=2e-9, abs=1e-12)
             assert abs(val.imag) < 1e-10
