@@ -5,7 +5,6 @@ from ._kernels import BACKEND
 from .errors import AccuracyError, CertificationError, DomainError, NumericalError
 from .krivine import NormPair, approx_ratio, compute_c_ab
 from .relaxation import ProblemInstance, brute_force_norm, solve_cp
-from .series import TruncatedSeries
 from .specfun import euler_continuation, gamma_fn, gaussian_moment, hyp_coeffs
 
 __version__ = "0.1.0"
@@ -18,7 +17,6 @@ __all__ = [
     "NormPair",
     "NumericalError",
     "ProblemInstance",
-    "TruncatedSeries",
     "approx_ratio",
     "brute_force_norm",
     "compute_c_ab",

@@ -81,7 +81,7 @@ def cmd_round(args) -> int:
     inst = _load_instance(args)
     sol = relaxation.solve_cp(inst, seed=args.seed)
     report = krivine.approx_ratio(inst.pair, K=args.order, tol=args.tol)
-    tg = rounding.build_transformed_gram(sol, inst.pair, report.c_ab, K=args.order)
+    tg = rounding.build_transformed_gram(sol, inst.pair, report.c_ab, report.inverse)
     rs = rounding.sample_round(inst, tg, num_samples=args.samples, seed=args.seed)
     _emit([_dumps({
         "cp_value": sol.value,
@@ -148,16 +148,16 @@ def _suite_identities(args):
 
 def _suite_conditions(args):
     cg = krivine.inverse_coeff_grid(args.grid, args.order)  # one reversion for all three
-    rep = krivine.check_conditions(k_max=29, grid=cg, K=args.order)
+    rep = krivine.check_conditions(cg)
     for m in rep.margins:
         yield _check(f"{m.kind}(k={m.k})", m.passed, worst_margin=m.worst_margin,
                      at_a=m.at_a, at_b=m.at_b)
-    cert = krivine.certify_defect(grid=cg, K=args.order)
+    cert = krivine.certify_defect(cg)
     yield _check("defect-certificate", cert.ok, h_err_max=cert.h_err_max,
                  rho_certified=cert.rho_certified,
                  hhat_at_rho_max=cert.hhat_at_rho_max)
     x0 = math.asinh(1.0) / 1.00863
-    worst = krivine.hhat_grid_max(x0, grid=cg, K=args.order)
+    worst = krivine.hhat_grid_max(cg, x0)
     yield _check("hhat-at-certified-point", worst <= 1.0 + 1e-9, x0=x0, max_hhat=worst)
 
 
@@ -172,12 +172,13 @@ def _suite_contours(args):
     worst = min(oracles.beta_bound_expression(b) for b in np.linspace(0.0, 0.999, 201))
     yield _check("beta-bound-expression", worst >= 1.003, min_value=worst)
     for a, b in [(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)]:
-        g = series.revert(krivine.f_bar_series(krivine.NormPair.from_ab(a, b), K=31))
+        pair = krivine.NormPair.from_ab(a, b)
+        g = series.revert(krivine.f_bar_w_coeffs(pair.a, pair.b, 15))  # order 31
         for k in (3, 5, 7, 9):
             est = oracles.contour_inverse_coeff(a, b, k)
-            ok = abs(est - g.coeffs[k]) < 1e-6
+            ok = abs(est - g[k // 2]) < 1e-6
             yield _check(f"inversion-formula(a={a:g},b={b:g},k={k})", ok,
-                         estimate=est, reference=float(g.coeffs[k]))
+                         estimate=est, reference=float(g[k // 2]))
 
 
 def _suite_factorization(args):
@@ -222,7 +223,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_conditions(args) -> int:
-    rep = krivine.check_conditions(k_max=29, grid=args.grid, K=args.order)
+    rep = krivine.check_conditions(krivine.inverse_coeff_grid(args.grid, args.order))
     lines = [_dumps({
         "target": f"{m.kind}(k={m.k})", "pass": m.passed,
         "worst_margin": m.worst_margin, "at_a": m.at_a, "at_b": m.at_b,
@@ -232,7 +233,7 @@ def cmd_check_conditions(args) -> int:
 
 
 def cmd_certify_defect(args) -> int:
-    cert = krivine.certify_defect(grid=args.grid, K=args.order)
+    cert = krivine.certify_defect(krivine.inverse_coeff_grid(args.grid, args.order))
     _emit([_dumps({
         "t_odd": cert.t_odd,
         "delta": cert.delta,

@@ -1,15 +1,16 @@
 """Bounds engine: the correlation series, its inversion constant c_{a,b},
-approximation ratios, coefficient conditions, and the defect certificate."""
+approximation ratios, coefficient conditions, and the defect certificate.
+Series are odd and compressed as in :mod:`pqnorm.series`."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernels, series
 from .errors import CertificationError, DomainError
-from .series import CERT_ORDER, TruncatedSeries
+from .series import CERT_ORDER
 from .specfun import gaussian_moment
 
 #: Krivine's classical bound (pi/2) / asinh(1), flat in (p, q).
@@ -64,7 +65,8 @@ class BoundReport:
     steinberg_ratio: float
     K: int
     tail_bound: float
-    defect_certificate: Optional[dict] = None
+    # compressed coefficients of f_bar^{-1}, signed; fixed by pair and K
+    inverse: np.ndarray = field(repr=False, compare=False)
 
 
 def f_bar_w_coeffs(a, b, M: int) -> np.ndarray:
@@ -83,22 +85,15 @@ def f_bar_w_coeffs(a, b, M: int) -> np.ndarray:
     return F
 
 
-def f_bar_series(pair: NormPair, K: int = CERT_ORDER) -> TruncatedSeries:
-    """Odd series rho + ((1-a)(1-b)/6) rho^3 + ... of order K."""
-    if K < 1:
-        raise DomainError("order K must be >= 1")
-    c = np.zeros(K + 1)
-    c[1::2] = f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2)
-    return TruncatedSeries(c, odd=True)
-
-
 def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
     """Solve hhat(c) = 1 where hhat has the absolute inverse coefficients.
 
-    Returns (c_ab, h_series).  The root is bracketed by bisection on [0, 1]
-    against hhat plus its tail estimate, so hhat(c_ab) lands in [1-tol, 1]
-    including the discarded tail; hhat is strictly increasing there because
-    all its coefficients are nonnegative and the linear one equals 1.
+    Returns (c_ab, g, tail): g is the signed compressed inverse of f_bar at
+    order K, and tail the tail bound of hhat at c_ab.  The root is bracketed
+    by bisection on [0, 1] against hhat plus its tail estimate, so hhat(c_ab)
+    lands in [1-tol, 1] including the discarded tail; hhat is strictly
+    increasing there because all its coefficients are nonnegative and the
+    linear one equals 1.
 
     The root approaches the convergence radius as a or b approach 1, where
     the K = 60 tail certifies only to about 4e-5; hence the loose default.
@@ -108,9 +103,8 @@ def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
         raise DomainError("certification needs K >= 30")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    fseries = f_bar_series(pair, K)
-    finv = series.revert(fseries)
-    h = series.abs_map(finv)
+    g = series.revert(f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2))
+    h = np.abs(g)
 
     def bisect(fn):
         lo, hi = 0.0, 1.0
@@ -122,7 +116,7 @@ def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
                 hi = mid
         return lo
 
-    tail = series.tail_fit(h)
+    tail = series.tail_fit(h, K)
     c = bisect(lambda x: series.evaluate(h, x) + tail(x))
     if series.evaluate(h, c) < 1.0 - tol:
         plain_root = bisect(lambda x: series.evaluate(h, x))
@@ -130,7 +124,7 @@ def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
             f"tail estimate {tail(c):.3e} too large to certify hhat(c) within {tol:.1e}",
             uncertified=plain_root,
         )
-    return c, h
+    return c, g, tail(c)
 
 
 def steinberg_ratio(pair: NormPair) -> float:
@@ -141,24 +135,16 @@ def steinberg_ratio(pair: NormPair) -> float:
     return min(branch1, branch2)
 
 
-def approx_ratio(pair: NormPair, K: int = CERT_ORDER, certify: bool = False,
-                 tol: float = 1e-4) -> BoundReport:
+def approx_ratio(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4) -> BoundReport:
     """Approximation-factor report 1/(gamma_{p*} gamma_q c_{a,b}) with the
-    Krivine and Steinberg comparison values.
+    Krivine and Steinberg comparison values, and the inverse series that
+    the rounding transform applies.
 
     ``tol`` is passed to :func:`compute_c_ab`; it only decides whether the
     tail certifies c_ab (``CertificationError`` if not), not c_ab itself.
-    With ``certify`` the report also carries the tail certificate for this
-    pair (t = 31 and the default radius).
     """
-    c, h = compute_c_ab(pair, K, tol=tol)
-    tail = series.tail_estimate(h, c)
+    c, g, tail = compute_c_ab(pair, K, tol=tol)
     ratio = 1.0 / (gaussian_moment(pair.p_star) * gaussian_moment(pair.q) * c)
-    defect = None
-    if certify:
-        cert = certify_defect(grid=(np.array([pair.a]), np.array([pair.b])), K=K)
-        defect = {"t_odd": cert.t_odd, "h_err": cert.h_err_max,
-                  "rho_certified": cert.rho_certified}
     return BoundReport(
         pair=pair,
         c_ab=c,
@@ -167,23 +153,8 @@ def approx_ratio(pair: NormPair, K: int = CERT_ORDER, certify: bool = False,
         steinberg_ratio=steinberg_ratio(pair),
         K=K,
         tail_bound=tail,
-        defect_certificate=defect,
+        inverse=g,
     )
-
-
-def _grid_points(grid):
-    """Accept an int n (n x n uniform grid on [0,1]^2) or explicit arrays."""
-    if isinstance(grid, int):
-        vals = np.linspace(0.0, 1.0, grid)
-        aa, bb = np.meshgrid(vals, vals, indexing="ij")
-        return aa.ravel(), bb.ravel()
-    a, b = grid
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape:
-        aa, bb = np.meshgrid(a, b, indexing="ij")
-        return aa.ravel(), bb.ravel()
-    return a.ravel(), b.ravel()
 
 
 class CoeffGrid(NamedTuple):
@@ -196,27 +167,25 @@ class CoeffGrid(NamedTuple):
 
 
 def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
-    """Inverse-series coefficients for every grid point, as a CoeffGrid.
+    """Inverse-series coefficients at every point of ``grid``, as a CoeffGrid.
 
-    The certification functions below accept the result wherever they accept
-    ``grid``, so one reversion can serve several of them.
+    ``grid`` is an int n (the n x n uniform grid on [0,1]^2) or explicit
+    (a, b) arrays of one shape.  The certification functions below take the
+    result, so one reversion can serve several of them.
     """
     if K < 1:
         raise DomainError("order K must be >= 1")
-    a, b = _grid_points(grid)
-    M = (K - 1) // 2
-    F = f_bar_w_coeffs(a, b, M).reshape(a.size, M + 1)
-    return CoeffGrid(a, b, _kernels.revert_odd_batch(F))
-
-
-def _coeff_grid(grid, K: int) -> CoeffGrid:
-    """``grid`` itself if it is a CoeffGrid of order K, else its reversion."""
-    if not isinstance(grid, CoeffGrid):
-        return inverse_coeff_grid(grid, K)
-    if grid.G.shape[1] != (K - 1) // 2 + 1:
-        raise DomainError(f"coefficient grid has {grid.G.shape[1]} odd terms, "
-                          f"order K={K} needs {(K - 1) // 2 + 1}")
-    return grid
+    if isinstance(grid, int):
+        vals = np.linspace(0.0, 1.0, grid)
+        a, b = np.meshgrid(vals, vals, indexing="ij")
+    else:
+        a, b = (np.asarray(v, dtype=np.float64) for v in grid)
+        if a.shape != b.shape:
+            raise DomainError(f"grid arrays differ in shape: a {a.shape}, b {b.shape}")
+    if a.size == 0:
+        raise DomainError(f"grid {grid!r} has no points")
+    a, b = a.ravel(), b.ravel()
+    return CoeffGrid(a, b, _kernels.revert_odd_batch(f_bar_w_coeffs(a, b, (K - 1) // 2)))
 
 
 @dataclass
@@ -235,22 +204,20 @@ class ConditionMargin:
 @dataclass
 class ConditionsReport:
     k_max: int
-    K: int
     margins: list
     all_pass: bool
-    tol: float = _CONDITION_TOL
 
 
-def check_conditions(k_max: int = 29, grid=101, K: int = CERT_ORDER) -> ConditionsReport:
+def check_conditions(cg: CoeffGrid, k_max: int = 29) -> ConditionsReport:
     """Check the sign/size conditions on the inverse coefficients.
 
     For every grid point and odd k <= k_max: coefficient <= 1/k! when
     k = 1 mod 4 (C1), coefficient <= 0 when k = 3 mod 4 (C2).  Margins are
     the distances to the constraint; violations are data, not errors.
     """
-    if k_max > K:
+    a, b, G = cg
+    if k_max > 2 * G.shape[1] - 1:
         raise DomainError("k_max must not exceed the truncation order")
-    a, b, G = _coeff_grid(grid, K)
     margins = []
     all_pass = True
     for k in range(1, k_max + 1, 2):
@@ -267,7 +234,7 @@ def check_conditions(k_max: int = 29, grid=101, K: int = CERT_ORDER) -> Conditio
                                 at_a=float(a[i]), at_b=float(b[i]))
         margins.append(entry)
         all_pass = all_pass and entry.passed
-    return ConditionsReport(k_max=k_max, K=K, margins=margins, all_pass=all_pass)
+    return ConditionsReport(k_max=k_max, margins=margins, all_pass=all_pass)
 
 
 @dataclass
@@ -285,10 +252,10 @@ class DefectCertificate:
 def _odd_tail_estimate(absG: np.ndarray, x: float) -> np.ndarray:
     """Row-wise geometric tail for sum_{m>M} absG[:, m] x^(2m+1).
 
-    The ratio fit of :func:`pqnorm.series.tail_estimate`, vectorised across
-    grid rows in the compressed (w = x^2) representation, so the geometric
-    tail runs over odd degrees only.  Entries below the noise floor of the
-    reversion are not used as ratio data.  The ratio per w-degree is the
+    The ratio fit of :func:`pqnorm.series.tail_fit`, vectorised across grid
+    rows and taken per w = x^2 degree, so the geometric tail runs over odd
+    degrees only.  Entries below the noise floor of the reversion are not
+    used as ratio data.  The ratio per w-degree is the
     largest gap ratio among each row's last <= 10 significant entries; the
     tail is inf when that ratio times x^2 reaches 1, and 0 for rows with
     fewer than two significant entries.
@@ -333,8 +300,8 @@ def odd_horner(coeffs: np.ndarray, x) -> np.ndarray:
     return x * acc
 
 
-def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
-                   K: int = CERT_ORDER) -> DefectCertificate:
+def certify_defect(cg: CoeffGrid, t_odd: int = 31,
+                   delta: Optional[float] = None) -> DefectCertificate:
     """Certify a lower bound on hhat^{-1}(1) from the coefficient tail.
 
     For each grid point: h_err(t, delta) sums |inverse coefficient| * delta^k
@@ -346,8 +313,7 @@ def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
         raise DomainError("t must be odd")
     if delta is None:
         delta = math.asinh(0.974203)
-    cg = _coeff_grid(grid, K)
-    conds = check_conditions(k_max=t_odd - 2, grid=cg, K=K)
+    conds = check_conditions(cg, k_max=t_odd - 2)
     absG = np.abs(cg.G)
     M = absG.shape[1] - 1
     m0 = (t_odd - 1) // 2
@@ -368,10 +334,9 @@ def certify_defect(grid=101, t_odd: int = 31, delta: Optional[float] = None,
     )
 
 
-def hhat_grid_max(x0: float, grid=101, K: int = CERT_ORDER) -> float:
-    """max over the (a,b) grid of hhat(x0) at truncation order K."""
-    absG = np.abs(_coeff_grid(grid, K).G)
-    return float(np.max(odd_horner(absG, x0)))
+def hhat_grid_max(cg: CoeffGrid, x0: float) -> float:
+    """max over the (a,b) grid of hhat(x0) at the grid's truncation order."""
+    return float(np.max(odd_horner(np.abs(cg.G), x0)))
 
 
 def cotype2_constant(exponent: float) -> float:

@@ -12,7 +12,7 @@ from numpy.polynomial import hermite_e
 from scipy import integrate
 
 from .errors import AccuracyError, DomainError
-from .krivine import NormPair, f_bar_series, f_bar_w_coeffs
+from .krivine import NormPair, f_bar_w_coeffs
 from .series import evaluate
 from .specfun import _on_excluded_ray, euler_continuation, gamma_fn, gaussian_moment_pow
 
@@ -47,7 +47,7 @@ def correlation_reference(a: float, b: float, rho: float, K: int = 400) -> float
     """gamma_{a+1}^{a+1} gamma_{b+1}^{b+1} * rho * 2F1(...; rho^2), the
     closed form the Monte Carlo is checked against."""
     pair = NormPair.from_ab(a, b)
-    val = evaluate(f_bar_series(pair, K), rho)
+    val = evaluate(f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2), rho)
     return gaussian_moment_pow(a + 1.0) * gaussian_moment_pow(b + 1.0) * val
 
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series
 from .errors import AccuracyError, DomainError
-from .krivine import NormPair, f_bar_series, odd_horner
+from .krivine import NormPair, odd_horner
 from .relaxation import ProblemInstance, RelaxationSolution, unit_rows
 from .specfun import gaussian_moment_pow
 
@@ -73,17 +72,16 @@ class TransformedGram:
 
 
 def build_transformed_gram(sol: RelaxationSolution, pair: NormPair, c_ab: float,
-                           K: int = series.CERT_ORDER) -> TransformedGram:
+                           g: np.ndarray) -> TransformedGram:
     """Assemble the PSD matrix whose Gram rows realize the transformation.
 
+    ``g`` is the compressed inverse series that compute_c_ab returns.
     Off-diagonal block: inverse series applied entrywise to c * UhatVhat^T;
     diagonal blocks: the absolute series on c * UhatUhat^T and on
     c * VhatVhat^T, so every unit-row diagonal entry equals hhat(c).
     Truncation can leave slightly negative eigenvalues, repaired by clipping
     at zero and rescaling the diagonal back to target.
     """
-    fs = f_bar_series(pair, K)
-    g = series.revert(fs).odd_compressed()
     absg = np.abs(g)
 
     Uh, u_norms = unit_rows(sol.U)
@@ -102,7 +100,7 @@ def build_transformed_gram(sol: RelaxationSolution, pair: NormPair, c_ab: float,
     if shift > _REPAIR_LIMIT:
         raise AccuracyError(
             f"Gram repair shift {shift:.3e} exceeds {_REPAIR_LIMIT}; "
-            f"increase the truncation order K={K}",
+            f"increase the truncation order (now degree {2 * g.size - 1})",
             achieved=shift,
         )
     if shift > 0.0:

@@ -8,7 +8,6 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError
-from .series import TruncatedSeries
 
 # Lanczos approximation, g = 7, 9 terms (double precision set).
 _LANCZOS_G = 7.0
@@ -26,12 +25,21 @@ _LANCZOS = (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _exp_in_range(logval: float, what: str) -> float:
+    """exp(logval); DomainError naming ``what`` past the float64 range."""
+    if logval > _LOG_FLOAT_MAX:
+        raise DomainError(f"{what} exceeds the float64 maximum {sys.float_info.max:.4g}")
+    return math.exp(logval)
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 by the Lanczos series (reflection below 1/2)."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    """log Gamma(x) for finite x > 0 by the Lanczos series (reflection
+    below 1/2)."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"log_gamma requires finite x > 0, got {x}")
     if x < 0.5:
         # log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
@@ -44,19 +52,21 @@ def log_gamma(x: float) -> float:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0, accurate to comfortably more than 12 digits."""
-    if not x > 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
+    """Gamma(x) for finite x > 0, accurate to comfortably more than 12
+    digits.  DomainError past x ~ 171.6, where Gamma exceeds the float64
+    range."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"gamma_fn requires finite x > 0, got {x}")
     if x == float(int(x)) and x <= 20:
         return float(math.factorial(int(x) - 1))
-    return math.exp(log_gamma(x))
+    return _exp_in_range(log_gamma(x), f"Gamma(x) at x={x}")
 
 
 def _log_moment(r: float) -> float:
     """log E|g|^r, exactly 0 at r = 0.  Working in logs keeps large r (e.g.
     Steinberg's bound for big p) safe."""
-    if r < 0:
-        raise DomainError(f"gaussian moment requires r >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise DomainError(f"gaussian moment requires finite r >= 0, got {r}")
     if r == 0:
         return 0.0
     return (r / 2.0) * math.log(2.0) - _LOG_SQRT_PI + log_gamma((1.0 + r) / 2.0)
@@ -66,11 +76,7 @@ def gaussian_moment_pow(r: float) -> float:
     """E|g|^r for standard Gaussian g, i.e. the r-th absolute moment.
 
     DomainError past r ~ 301, where the moment exceeds the float64 range."""
-    try:
-        return math.exp(_log_moment(r))
-    except OverflowError:
-        raise DomainError(f"E|g|^r at r={r} exceeds the float64 maximum "
-                          f"{sys.float_info.max:.4g}") from None
+    return _exp_in_range(_log_moment(r), f"E|g|^r at r={r}")
 
 
 def gaussian_moment(r: float) -> float:
@@ -90,7 +96,7 @@ def hyp_coeffs(kind: str, params, K: int):
     ``params`` is (alpha, beta) for ``kind='1F1'`` and (w, alpha, beta) for
     ``kind='2F1'``.  Coefficient k is (alpha)_k/((beta)_k k!), resp.
     (w)_k (alpha)_k/((beta)_k k!), by the rising-factorial recurrence.
-    Returns a :class:`~pqnorm.series.TruncatedSeries` of order K.
+    Returns the K + 1 coefficients of degrees 0..K as an array.
     """
     if K < 0:
         raise DomainError("order K must be >= 0")
@@ -110,7 +116,7 @@ def hyp_coeffs(kind: str, params, K: int):
             c[k + 1] = c[k] * (w + k) * (alpha + k) / ((beta + k) * (k + 1))
     else:
         raise DomainError(f"unknown hypergeometric kind {kind!r}")
-    return TruncatedSeries(c)
+    return c
 
 
 def _on_excluded_ray(z):

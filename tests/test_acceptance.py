@@ -44,7 +44,7 @@ def test_criterion_01_arcsin_anchor():
     """
     t0 = time.perf_counter()
     K = series.IDENTITY_ORDER
-    s = krivine.f_bar_series(NormPair(p=math.inf, q=1.0), K=K)
+    s = krivine.f_bar_w_coeffs(0.0, 0.0, (K - 1) // 2)
     ref_poly = arcsin_taylor_coeffs(K)
     worst = 0.0
     for rho in [-0.99] + [x / 10.0 for x in range(-9, 10)] + [0.99]:
@@ -60,7 +60,7 @@ def test_criterion_01_arcsin_anchor():
 
 
 def test_criterion_02_grothendieck_constant():
-    c, _ = compute_c_ab(NormPair(p=math.inf, q=1.0), K=60)
+    c, _, _ = compute_c_ab(NormPair(p=math.inf, q=1.0), K=60)
     assert abs(c - math.log(1.0 + math.sqrt(2.0))) < 1e-8
     _report(2, f"c(0,0) = {c:.10f} vs ln(1+sqrt 2) = {math.log(1+math.sqrt(2)):.10f}")
 
@@ -74,11 +74,12 @@ def test_criterion_03_grothendieck_ratio():
 
 def test_criterion_04_defect_certification():
     t0 = time.perf_counter()
-    cert = certify_defect(grid=101, t_odd=31, K=60)
+    cg = krivine.inverse_coeff_grid(101, K=60)
+    cert = certify_defect(cg, t_odd=31)
     assert cert.conditions_ok and cert.ok
     assert cert.h_err_max <= 0.0129
     x0 = ASINH1 / 1.00863
-    worst = krivine.hhat_grid_max(x0, grid=101, K=60)
+    worst = krivine.hhat_grid_max(cg, x0)
     elapsed = time.perf_counter() - t0
     assert worst <= 1.0 + 1e-9
     assert elapsed < 60.0
@@ -88,9 +89,9 @@ def test_criterion_04_defect_certification():
 
 def test_criterion_05_conditions_grid():
     t0 = time.perf_counter()
-    rep = check_conditions(k_max=29, grid=101, K=60)
+    rep = check_conditions(krivine.inverse_coeff_grid(101, K=60), k_max=29)
     assert rep.all_pass
-    origin = check_conditions(k_max=29, grid=(np.array([0.0]), np.array([0.0])), K=60)
+    origin = check_conditions(krivine.inverse_coeff_grid(([0.0], [0.0]), K=60), k_max=29)
     worst_eq = max(abs(m.worst_margin) for m in origin.margins if m.kind == "C1")
     elapsed = time.perf_counter() - t0
     assert worst_eq < 1e-12
@@ -132,17 +133,17 @@ def test_criterion_08_rounding_sandwich():
     pairs = [NormPair(math.inf, 1.0), NormPair(4.0, 4.0 / 3.0), NormPair(2.0, 2.0)]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(8,)))
     mats = [rng.standard_normal((10, 8)) for _ in range(20)]
-    ratios = {id(p): approx_ratio(p, K=60).ratio for p in pairs}
-    cs = {id(p): compute_c_ab(p, K=60)[0] for p in pairs}
+    reports = {id(p): approx_ratio(p, K=60) for p in pairs}
     for pair in pairs:
         for k, A in enumerate(mats):
             inst = ProblemInstance(A, pair)
             sol = solve_cp(inst, restarts=8, seed=k)
             bf = brute_force_norm(inst, seed=k)
             assert sol.value >= bf - 1e-6, (pair.p, k)
-            tg = build_transformed_gram(sol, pair, cs[id(pair)], K=60)
+            rep = reports[id(pair)]
+            tg = build_transformed_gram(sol, pair, rep.c_ab, rep.inverse)
             rs = sample_round(inst, tg, num_samples=10_000, seed=k)
-            lo = sol.value / ratios[id(pair)] * 0.95
+            lo = sol.value / rep.ratio * 0.95
             assert rs.value >= lo, (pair.p, k, rs.value, lo)
             assert rs.value <= bf + 1e-6, (pair.p, k, rs.value, bf)
     elapsed = time.perf_counter() - t0
@@ -158,8 +159,8 @@ def test_criterion_09_numerator_identity():
             A = rng.standard_normal((5, 4))
             inst = ProblemInstance(A, pair)
             sol = solve_cp(inst, restarts=8, seed=rep)
-            c, _ = compute_c_ab(pair, K=60)
-            tg = build_transformed_gram(sol, pair, c, K=60)
+            c, g, _ = compute_c_ab(pair, K=60)
+            tg = build_transformed_gram(sol, pair, c, g)
             stats = rounding_identity_stats(inst, tg, sol, num_samples=10**5,
                                             seed=31 * seed + rep)
             worst = max(worst, stats.numerator_max_sigmas)

@@ -70,21 +70,21 @@ class TestBounds:
         assert out == ""
 
     def test_tail_fitted_at_most_twice(self, monkeypatch, capsys):
-        # one fit for the bisection in compute_c_ab, one for the reported
+        # one fit serves the bisection in compute_c_ab and the reported
         # tail_bound; refitting at every bisection step made ~200
         from pqnorm import series
 
         fits = []
         fit = series.tail_fit
 
-        def counting(s):
-            fits.append(s.order)
-            return fit(s)
+        def counting(g, K):
+            fits.append(K)
+            return fit(g, K)
 
         monkeypatch.setattr(series, "tail_fit", counting)
         code, _ = run_main(["bounds", "--p", "4"], capsys)
         assert code == 0
-        assert 1 <= len(fits) <= 2
+        assert fits == [60]
 
 
 class TestRound:
@@ -136,6 +136,27 @@ class TestRound:
                             "--samples", "100"], capsys)
         assert code == 0
         assert tols == [1e-6]
+
+    def test_one_reversion(self, tmp_path, monkeypatch, capsys):
+        # compute_c_ab reverts the correlation series once and hands the
+        # inverse to the Gram
+        import numpy as np
+
+        from pqnorm import _kernels
+
+        path = tmp_path / "g10.csv"
+        np.savetxt(path, np.random.default_rng(10).standard_normal((10, 10)), delimiter=",")
+        rows = []
+        revert = _kernels.revert_odd_batch
+
+        def counting(F):
+            rows.append(F.shape[0])
+            return revert(F)
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
+        code, _ = run_main(["round", "--in", str(path), "--samples", "100"], capsys)
+        assert code == 0
+        assert rows == [1]
 
     def test_zero_samples_is_exit_2(self, sign_csv, capsys):
         code, _ = run_main(["round", "--in", sign_csv, "--samples", "0"], capsys)
@@ -284,6 +305,14 @@ class TestConditionsCommands:
             code, _ = run_main(argv, capsys)
             assert code == 0
             assert sum(rows) == 441
+
+    @pytest.mark.parametrize("argv", [["check-conditions"], ["certify-defect"],
+                                      ["verify", "conditions"]])
+    def test_empty_grid_is_exit_2(self, argv, capsys):
+        code = main(argv + ["--grid", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: grid 0 has no points\n"
 
 def test_console_entry_point(sign_csv):
     out = subprocess.run([sys.executable, "-m", "pqnorm.cli", "round", "--in", sign_csv,

@@ -15,13 +15,13 @@ from pqnorm.krivine import (
     check_conditions,
     compute_c_ab,
     cotype2_constant,
-    f_bar_series,
+    f_bar_w_coeffs,
     hhat_grid_max,
     inverse_coeff_grid,
     odd_horner,
     steinberg_ratio,
 )
-from pqnorm.series import evaluate, tail_estimate
+from pqnorm.series import evaluate, revert, tail_fit
 
 ASINH1 = math.asinh(1.0)
 
@@ -53,56 +53,60 @@ class TestNormPair:
             NormPair.from_ab(0.5, -0.1)
 
 
+def f_bar(a, b, K):
+    """Compressed coefficients of f_bar at (a, b), truncated at order K."""
+    return f_bar_w_coeffs(a, b, (K - 1) // 2)
+
+
 class TestFBarSeries:
     def test_grothendieck_case_is_arcsin(self):
-        s = f_bar_series(NormPair(p=math.inf, q=1.0), K=9)
-        assert s.coeffs[1] == 1.0
-        assert s.coeffs[3] == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert s.coeffs[5] == pytest.approx(3.0 / 40.0, rel=1e-15)
+        g = f_bar(0.0, 0.0, 9)
+        assert g[0] == 1.0
+        assert g[1] == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert g[2] == pytest.approx(3.0 / 40.0, rel=1e-15)
 
     def test_a_equal_one_is_identity(self):
-        s = f_bar_series(NormPair(p=2.0, q=1.3), K=15)
-        assert s.coeffs[1] == 1.0
-        assert np.all(s.coeffs[2:] == 0.0)
+        pair = NormPair(p=2.0, q=1.3)
+        g = f_bar(pair.a, pair.b, 15)
+        assert g[0] == 1.0
+        assert np.all(g[1:] == 0.0)
 
     def test_cubic_coefficient_formula(self):
         # [rho^3] = (1-a)(1-b)/6, at a = b = 1/2 equal to 1/24
-        s = f_bar_series(NormPair.from_ab(0.5, 0.5), K=5)
-        assert s.coeffs[3] == pytest.approx(1.0 / 24.0, rel=1e-15)
+        assert f_bar(0.5, 0.5, 5)[1] == pytest.approx(1.0 / 24.0, rel=1e-15)
 
     def test_nonnegative_coefficients_M2(self):
         for a, b in [(0.0, 0.0), (0.2, 0.9), (0.77, 0.13), (1.0, 0.4)]:
-            s = f_bar_series(NormPair.from_ab(a, b), K=41)
-            assert np.all(s.coeffs >= 0.0)
+            assert np.all(f_bar(a, b, 41) >= 0.0)
 
     def test_coefficients_decreasing_in_a_M3(self):
         b = 0.35
-        prev = f_bar_series(NormPair.from_ab(0.0, b), K=31).coeffs
+        prev = f_bar(0.0, b, 31)
         for a in [0.2, 0.5, 0.8, 1.0]:
-            cur = f_bar_series(NormPair.from_ab(a, b), K=31).coeffs
+            cur = f_bar(a, b, 31)
             assert np.all(cur <= prev + 1e-15)
             prev = cur
 
 
 class TestComputeC:
     def test_grothendieck_constant(self):
-        c, h = compute_c_ab(NormPair(p=math.inf, q=1.0), K=60, tol=1e-9)
+        c, g, tail = compute_c_ab(NormPair(p=math.inf, q=1.0), K=60, tol=1e-9)
         assert c == pytest.approx(math.log(1.0 + math.sqrt(2.0)), abs=1e-10)
-        assert 1.0 - 1e-9 <= evaluate(h, c) + tail_estimate(h, c) <= 1.0 + 1e-12
+        h = np.abs(g)
+        assert tail == tail_fit(h, 60)(c)
+        assert 1.0 - 1e-9 <= evaluate(h, c) + tail <= 1.0 + 1e-12
 
     def test_a_equal_one(self):
-        c, _ = compute_c_ab(NormPair(p=2.0, q=1.0), K=60)
+        c, _, _ = compute_c_ab(NormPair(p=2.0, q=1.0), K=60)
         assert c == pytest.approx(1.0, abs=1e-10)
 
     def test_midpoint_bracketed_and_cross_checked(self):
         # direct numeric inversion of f_bar as the oracle for the reverted series
         pair = NormPair.from_ab(0.5, 0.5)
-        c, h = compute_c_ab(pair, K=60)
+        c, finv, _ = compute_c_ab(pair, K=60)
         assert ASINH1 - 1e-12 < c < 1.0
-        fser = f_bar_series(pair, K=60)
-        from pqnorm.series import revert
-
-        finv = revert(fser)
+        fser = f_bar(pair.a, pair.b, 60)
+        assert np.array_equal(finv, revert(fser))
         for y in [0.1, 0.35, 0.6, 0.8]:
             lo, hi = 0.0, 0.95
             for _ in range(70):
@@ -116,12 +120,12 @@ class TestComputeC:
     def test_monotone_in_a_and_b_M4(self):
         cs = []
         for a in [0.0, 0.25, 0.5, 0.75, 1.0]:
-            c, _ = compute_c_ab(NormPair.from_ab(a, 0.3), K=60)
+            c, _, _ = compute_c_ab(NormPair.from_ab(a, 0.3), K=60)
             cs.append(c)
         assert all(c2 >= c1 - 1e-10 for c1, c2 in zip(cs, cs[1:]))
         cs = []
         for b in [0.0, 0.25, 0.5, 0.75, 1.0]:
-            c, _ = compute_c_ab(NormPair.from_ab(0.3, b), K=60)
+            c, _, _ = compute_c_ab(NormPair.from_ab(0.3, b), K=60)
             cs.append(c)
         assert all(c2 >= c1 - 1e-10 for c1, c2 in zip(cs, cs[1:]))
 
@@ -142,7 +146,7 @@ class TestComputeC:
         floor = ASINH1 / 1.00863
         for a in np.linspace(0.0, 1.0, 11):
             for b in np.linspace(0.0, 1.0, 11):
-                c, _ = compute_c_ab(NormPair.from_ab(a, b), K=60)
+                c, _, _ = compute_c_ab(NormPair.from_ab(a, b), K=60)
                 assert c >= floor - 1e-4, (a, b, c)
 
 
@@ -173,10 +177,15 @@ class TestApproxRatio:
                 assert rep.ratio == pytest.approx(direct, rel=1e-9)
 
     def test_certified_report(self):
-        rep = approx_ratio(NormPair(p=math.inf, q=1.0), certify=True)
-        cert = rep.defect_certificate
-        assert cert is not None and cert["t_odd"] == 31
-        assert rep.c_ab >= cert["rho_certified"] - 1e-12
+        # the report's c_ab lies above the pair's certified defect point, and
+        # it carries the inverse series its c_ab was solved on
+        pair = NormPair(p=math.inf, q=1.0)
+        rep = approx_ratio(pair)
+        cert = certify_defect(inverse_coeff_grid(([pair.a], [pair.b]), K=rep.K))
+        assert cert.ok and cert.t_odd == 31
+        assert rep.c_ab >= cert.rho_certified - 1e-12
+        assert np.array_equal(rep.inverse, compute_c_ab(pair, K=rep.K)[1])
+        assert approx_ratio(pair) == rep  # the array field stays out of ==
 
     def test_steinberg_infinite_branches(self):
         assert math.isinf(steinberg_ratio(NormPair(p=math.inf, q=1.0)))
@@ -187,13 +196,13 @@ class TestApproxRatio:
 
 class TestConditions:
     def test_small_grid_passes(self):
-        rep = check_conditions(k_max=29, grid=21, K=60)
+        rep = check_conditions(inverse_coeff_grid(21, K=60), k_max=29)
         assert rep.all_pass
         ks = [m.k for m in rep.margins]
         assert ks == list(range(1, 30, 2))
 
     def test_sin_margins_at_origin(self):
-        rep = check_conditions(k_max=5, grid=(np.array([0.0]), np.array([0.0])), K=60)
+        rep = check_conditions(inverse_coeff_grid(([0.0], [0.0]), K=60), k_max=5)
         by_k = {m.k: m for m in rep.margins}
         # k=5: f^{-1}_5 = 1/120, C1 at equality
         assert abs(by_k[5].worst_margin) < 1e-12
@@ -201,40 +210,42 @@ class TestConditions:
         assert by_k[3].worst_margin == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_kmax_validation(self):
+        cg = inverse_coeff_grid(5, K=60)  # odd degrees up to 59
+        check_conditions(cg, k_max=59)
         with pytest.raises(DomainError):
-            check_conditions(k_max=100, grid=5, K=60)
+            check_conditions(cg, k_max=61)
+        with pytest.raises(DomainError):
+            check_conditions(cg, k_max=100)
 
 
 class TestDefectCertificate:
     def test_certificate_on_coarse_grid(self):
-        cert = certify_defect(grid=31, t_odd=31, K=60)
+        cert = certify_defect(inverse_coeff_grid(31, K=60), t_odd=31)
         assert cert.ok and cert.conditions_ok
         assert cert.h_err_max <= 0.0129
         assert cert.rho_certified >= math.asinh(0.974202) - 1e-9
         assert cert.hhat_at_rho_max <= 1.0 + 1e-9
 
     def test_trivial_at_a_equal_one(self):
-        cert = certify_defect(grid=(np.array([1.0]), np.array([0.5])), t_odd=31, K=60)
+        cert = certify_defect(inverse_coeff_grid(([1.0], [0.5]), K=60), t_odd=31)
         assert cert.ok
         assert cert.h_err_max == 0.0
         assert cert.rho_certified == pytest.approx(math.asinh(0.974203), abs=1e-12)
 
     def test_hhat_at_certified_point(self):
         x0 = ASINH1 / 1.00863
-        worst = hhat_grid_max(x0, grid=31, K=60)
+        worst = hhat_grid_max(inverse_coeff_grid(31, K=60), x0)
         assert worst <= 1.0 + 1e-9
         # extremal point is the Grothendieck corner where hhat = sinh
         assert worst == pytest.approx(math.sinh(x0), abs=1e-9)
 
     def test_batched_grid_matches_series_path(self):
         # the batched kernel route and the single-series route agree on hhat
-        from pqnorm.series import abs_map, revert
-
         x0 = 0.7
         pts = (np.array([0.0, 0.3, 0.85]), np.array([0.6, 0.1, 0.85]))
         a, b, G = inverse_coeff_grid(pts, K=60)
         for i in range(a.size):
-            h = abs_map(revert(f_bar_series(NormPair.from_ab(a[i], b[i]), K=60)))
+            h = np.abs(revert(f_bar(a[i], b[i], 60)))
             direct = evaluate(h, x0)
             batched = x0 * np.polynomial.polynomial.polyval(x0 * x0, np.abs(G[i]))
             assert batched == pytest.approx(direct, abs=1e-14)
@@ -332,17 +343,26 @@ class TestCoeffGrid:
         assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
     def test_precomputed_grid_gives_equal_reports(self, grid21):
-        assert check_conditions(k_max=29, grid=grid21, K=60) == \
-            check_conditions(k_max=29, grid=21, K=60)
-        assert certify_defect(grid=grid21, K=60) == certify_defect(grid=21, K=60)
+        # a grid shared by several checks gives what a fresh reversion gives
+        assert check_conditions(grid21) == check_conditions(inverse_coeff_grid(21, K=60))
+        assert certify_defect(grid21) == certify_defect(inverse_coeff_grid(21, K=60))
         x0 = ASINH1 / 1.00863
-        assert hhat_grid_max(x0, grid=grid21, K=60) == hhat_grid_max(x0, grid=21, K=60)
+        assert hhat_grid_max(grid21, x0) == hhat_grid_max(inverse_coeff_grid(21, K=60), x0)
 
-    def test_order_must_match_the_grid(self, grid21):
-        with pytest.raises(DomainError):
-            check_conditions(k_max=29, grid=grid21, K=40)
-        with pytest.raises(DomainError):
-            hhat_grid_max(0.5, grid=grid21, K=31)
+    def test_explicit_points_match_the_int_grid(self, grid21):
+        G = inverse_coeff_grid((grid21.a, grid21.b), K=60).G
+        assert np.array_equal(G, grid21.G)
+        one = inverse_coeff_grid((0.25, 0.5), K=60)
+        assert one.a.shape == one.b.shape == (1,) and one.G.shape == (1, 30)
+
+    def test_unequal_shapes_are_domain_error(self):
+        with pytest.raises(DomainError, match="shape"):
+            inverse_coeff_grid((np.zeros(3), np.zeros(2)), K=60)
+
+    @pytest.mark.parametrize("grid", [0, (np.zeros(0), np.zeros(0))])
+    def test_empty_grid_is_domain_error(self, grid):
+        with pytest.raises(DomainError, match="grid .* has no points"):
+            inverse_coeff_grid(grid, K=60)
 
     def test_order_below_one_is_domain_error(self):
         with pytest.raises(DomainError):

@@ -24,8 +24,8 @@ ASINH1 = math.asinh(1.0)
 def pipeline(A, p, q, K=60, restarts=8, seed=0):
     inst = ProblemInstance(A, NormPair(p, q))
     sol = solve_cp(inst, restarts=restarts, seed=seed)
-    c, _ = compute_c_ab(inst.pair, K=K)
-    tg = build_transformed_gram(sol, inst.pair, c, K=K)
+    c, g, _ = compute_c_ab(inst.pair, K=K)
+    tg = build_transformed_gram(sol, inst.pair, c, g)
     return inst, sol, c, tg
 
 
@@ -83,8 +83,8 @@ class TestTransformedGram:
         from pqnorm.relaxation import RelaxationSolution
 
         sol = RelaxationSolution(U=U, V=V, value=0.0, converged=True, iterations=0)
-        c, _ = compute_c_ab(pair, K=60)
-        tg = build_transformed_gram(sol, pair, c, K=60)
+        c, g, _ = compute_c_ab(pair, K=60)
+        tg = build_transformed_gram(sol, pair, c, g)
         assert np.allclose(tg.M[:1, 1:], 0.0, atol=1e-14)
 
     def test_random_instance_psd_before_repair(self):
