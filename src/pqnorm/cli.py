@@ -58,6 +58,8 @@ def cmd_bounds(args) -> int:
         lo, hi = pval
         if not (2.0 <= lo < hi):
             raise DomainError("p range must satisfy 2 <= min < max")
+        if args.grid < 2:
+            raise DomainError(f"a p range needs --grid >= 2, got {args.grid}")
         ps = list(np.geomspace(lo, hi, args.grid)) + [math.inf]
     else:
         ps = [pval]
@@ -310,6 +312,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except (DomainError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy import integrate
 
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, f_bar_w_coeffs
@@ -93,6 +92,8 @@ def hermite_coeff_numeric(c: float, k: int):
     (the full integrand is even there); even k integrates the full line,
     whose exact value is 0.  Returns (value, error_estimate).
     """
+    from scipy import integrate
+
     coef = np.zeros(k + 1)
     coef[k] = 1.0
     norm = math.sqrt(2.0 * math.pi) * math.sqrt(math.factorial(k))

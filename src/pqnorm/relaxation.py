@@ -267,6 +267,13 @@ def brute_force_norm(inst: ProblemInstance, restarts: int = 64, seed: int = 0,
     return best
 
 
+def _is_count(v) -> bool:
+    """v is a JSON number with an integer value >= 1 (2 and 2.0, not 2.7 or true)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return v >= 1 and (isinstance(v, int) or v.is_integer())
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a matrix from CSV rows of decimals or the JSON object format
     {"rows": m, "cols": n, "data": [...row-major...]}."""
@@ -276,10 +283,14 @@ def load_matrix(path) -> np.ndarray:
     if stripped.startswith("{"):
         obj = json.loads(text)
         try:
-            m, n = int(obj["rows"]), int(obj["cols"])
+            m, n = obj["rows"], obj["cols"]
             data = np.asarray(obj["data"], dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"bad JSON matrix in {path}: {exc}") from exc
+        if not (_is_count(m) and _is_count(n)):
+            raise DomainError(f"JSON matrix in {path}: rows and cols must be integers >= 1, "
+                              f"got rows={m!r}, cols={n!r}")
+        m, n = int(m), int(n)
         if data.size != m * n:
             raise DomainError(f"JSON matrix in {path}: {data.size} entries for {m}x{n}")
         return data.reshape(m, n)

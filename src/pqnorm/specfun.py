@@ -5,7 +5,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import AccuracyError, DomainError
 
@@ -142,6 +141,8 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     (their first moment is off by 3e-9 at beta = -0.975, n = 192); these
     hold it to a few 1e-12.
     """
+    from scipy import special
+
     x = special.roots_jacobi(n, alpha, beta)[0]
     k = np.arange(n, dtype=float)
     s = 2.0 * k + alpha + beta
@@ -174,6 +175,8 @@ def _euler_rule(n: int, a: float, b: float):
 
 def _euler_quad(z: complex, a: float, b: float) -> complex:
     """The continuation at one point by adaptive quadrature on [0, 1]."""
+    from scipy import integrate
+
     beta_norm = gamma_fn((1.0 - b) / 2.0) * gamma_fn(1.0 + b / 2.0) / gamma_fn(1.5)
     z2 = z * z
 
@@ -206,8 +209,10 @@ def euler_continuation(z, a: float, b: float):
 
     Evaluates  B((1-b)/2, 1+b/2)^{-1} * z * int_0^1 (1-t)^{b/2} /
     (t^{(1+b)/2} (1-z^2 t)^{(1-a)/2}) dt,  valid on the plane cut along
-    (-inf,-1] and [1,inf).  Relative accuracy 1e-8 for |z| <= 10; complex
-    powers take the principal branch.
+    (-inf,-1] and [1,inf).  Relative accuracy 1e-8 for |z| <= 10, except
+    within about 1e-6 of the branch points +-1 (e.g. z = 0.999999 at
+    a = 0.2, b = 0.9), where AccuracyError is raised: the quadrature fallback
+    cannot meet 1e-8 there.  Complex powers take the principal branch.
 
     ``z`` is a scalar or an array: a scalar gives a Python complex, an array
     an ndarray of its shape.  Any point on the excluded rays raises

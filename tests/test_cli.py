@@ -63,6 +63,14 @@ class TestBounds:
         code, _ = run_main(["bounds", "--p", "8:4"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    def test_sweep_needs_two_grid_points(self, grid, capsys):
+        # grid 0 printed only the inf row, 1 only p = 2, -3 numpy's own message
+        code = main(["bounds", "--p", "2:4", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"input error: a p range needs --grid >= 2, got {grid}\n"
+
     def test_unsatisfiable_tolerance_is_exit_3(self, capsys):
         # the tail at (4, 4/3) is 2.7e-10, so 1e-13 cannot be certified
         code, out = run_main(["bounds", "--p", "4", "--tol", "1e-13"], capsys)
@@ -218,6 +226,21 @@ class TestFactorize:
         code, _ = run_main(["factorize", "--in", eye_json, "--p", "1.5", "--q", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["factorize", "round"])
+    def test_eigensolver_failure_is_exit_3(self, command, sign_csv, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which would read as an input error
+        import numpy as np
+
+        def failing(*a, **k):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        code = main([command, "--in", sign_csv, "--samples", "100"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "numerical error: Eigenvalues did not converge\n"
+
 
 class TestVerify:
     def test_conditions_suite(self, capsys):
@@ -245,11 +268,13 @@ class TestVerify:
     def test_contours_make_one_continuation_call_per_pair(self, monkeypatch, capsys):
         # 25 (a, b) pairs of 50 contour points; only points next to the branch
         # point fall back to quad, two calls each (real and imaginary part)
+        from scipy import integrate
+
         from pqnorm import oracles, specfun
 
         calls, fallback_points, quad_calls = [0], [0], [0]
         cont, fallback, quad = (oracles.euler_continuation, specfun._euler_quad,
-                                specfun.integrate.quad)
+                                integrate.quad)
 
         def counting_cont(*a):
             calls[0] += 1
@@ -265,7 +290,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracles, "euler_continuation", counting_cont)
         monkeypatch.setattr(specfun, "_euler_quad", counting_fallback)
-        monkeypatch.setattr(specfun.integrate, "quad", counting_quad)
+        monkeypatch.setattr(integrate, "quad", counting_quad)
         code, out = run_main(["verify", "contours"], capsys)
         assert code == 0 and len(out.splitlines()) == 38
         assert calls[0] == 25

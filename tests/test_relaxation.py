@@ -193,6 +193,20 @@ class TestMatrixIO:
         with pytest.raises(DomainError):
             load_matrix(short)
 
+    @pytest.mark.parametrize("rows,cols,data", [(-1, -1, [5]), (0, 0, []), (0, 3, []),
+                                                (2.7, 1, [1, 2]), (True, 2, [1, 2])])
+    def test_json_shape_must_be_positive_integers(self, rows, cols, data, tmp_path):
+        # -1 used to reach reshape's "one unknown dimension", 2.7 was truncated to 2
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
+        with pytest.raises(DomainError, match=r"rows and cols must be integers >= 1"):
+            load_matrix(path)
+
+    def test_json_integral_float_shape(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 2.0, "cols": 1, "data": [1, 2]}))
+        assert np.array_equal(load_matrix(path), [[1], [2]])
+
     def test_instance_validation(self):
         with pytest.raises(DomainError):
             ProblemInstance(np.array([[np.inf, 1.0]]), NormPair(2.0, 2.0))
