@@ -58,6 +58,8 @@ def cmd_bounds(args) -> int:
         lo, hi = pval
         if not (2.0 <= lo < hi):
             raise DomainError("p range must satisfy 2 <= min < max")
+        if math.isinf(hi):
+            raise DomainError("a p range needs a finite MAX; the p = inf row is always added")
         if args.grid < 2:
             raise DomainError(f"a p range needs --grid >= 2, got {args.grid}")
         ps = list(np.geomspace(lo, hi, args.grid)) + [math.inf]

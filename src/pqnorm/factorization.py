@@ -76,8 +76,11 @@ def _cs_weights(A: np.ndarray, U: np.ndarray, V: np.ndarray):
 
     s_i = ||(AV)_i|| / ||u^i|| and t_j = ||(A^T U)_j|| / ||v^j|| (zero on zero
     rows and columns of A) meet the primal value at a primal optimum.  They
-    are scaled by the least c >= 1, plus a hair, that makes the scaled block
-    matrix PSD.  Returns (s, t, lambda_min after the repair).
+    are always scaled by the least c >= 1 that makes the scaled block matrix
+    PSD, plus a hair, so the bound is rounded outward even when lambda_min
+    comes out just above 0.  Returns (s, t, lambda_min after the repair), the
+    latter in closed form: D^{-1/2} M D^{-1/2} is I - K on the support, so
+    scaling (s, t) by c makes it I - K / c.
     """
     row_zero = np.all(A == 0.0, axis=1)
     col_zero = np.all(A == 0.0, axis=0)
@@ -88,10 +91,10 @@ def _cs_weights(A: np.ndarray, U: np.ndarray, V: np.ndarray):
     s = np.where(row_zero, 0.0, wu / np.maximum(un, 1e-280))
     t = np.where(col_zero, 0.0, wv / np.maximum(vn, 1e-280))
     lam = _min_eig_scaled(A, s, t)
-    if lam < 0.0 and math.isfinite(lam):
-        c = 1.0 - lam * (1.0 + 1e-10) + 1e-14
+    if math.isfinite(lam):
+        c = 1.0 - min(lam, 0.0) * (1.0 + 1e-10) + 1e-14
         s, t = c * s, c * t
-        lam = _min_eig_scaled(A, s, t)
+        lam = 1.0 - (1.0 - lam) / c
     return s, t, lam
 
 

@@ -40,6 +40,7 @@ class RelaxationSolution:
     value: float
     converged: bool
     iterations: int
+    fallbacks: int = 0
     objective_trace: np.ndarray = field(repr=False, default=None)
 
 
@@ -90,19 +91,25 @@ def _initial_V(rng, n: int, d: int, p: float) -> np.ndarray:
 
 
 def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 4,
-             max_iters: int = 10_000, tol: float = 1e-10, seed: int = 0) -> RelaxationSolution:
+             max_iters: int = 10_000, tol: float = 1e-12, seed: int = 0) -> RelaxationSolution:
     """Alternating maximization of <A, U V^T> under the row-norm power
     constraints sum ||u^i||^{q*} <= 1 and sum ||v^j||^p <= 1.
 
-    Each block update is the exact Holder-dual optimum, so the objective is
-    nondecreasing along iterations.  The relaxation is convex for
+    One sweep runs the two exact Holder-dual block updates, A W -> U and
+    then A^T U -> V.  Each iteration sweeps from the extrapolated point
+    W = 2 V - V_prev (beta = 1); a restart whose objective falls below its
+    last one redoes the iteration as a plain sweep from V, which cannot lose
+    objective (O'Donoghue & Candes 2015, restart on decrease).  So the
+    objective is nondecreasing along iterations; ``fallbacks`` counts the
+    winner's redone steps.  The relaxation is convex for
     p, q* >= 2, so it has an optimal solution of rank about sqrt(2(m+n)),
     and a Burer-Monteiro factorization of that rank reaches the optimum: d
     defaults to min(m+n, ceil(sqrt(2(m+n))) + 1).
 
     Restart r starts from the seed stream SeedSequence(seed, spawn_key=(r,)).
-    All restarts still running are stacked, so each half-step A V and A^T U
-    is one matrix product over the stack; a restart is frozen once its
+    All restarts still running are stacked, so each half-step A W and A^T U
+    is one matrix product over the stack (the redone sweeps are one more,
+    over the restarts that fell); a restart is frozen once its
     objective stalls (gain below tol relative), and the best one is
     returned, with the iterations, convergence flag and objective trace of
     that restart.  A is divided by max |A_ij| for the solve and the value
@@ -127,15 +134,27 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 4,
     V = np.stack([_initial_V(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(r,))), n, d, p)
         for r in range(restarts)], axis=1)
-    U = np.zeros((m, restarts, d))
+    fallbacks = np.zeros(restarts, dtype=int)
+
+    def sweep(W):
+        # the two exact block updates A W -> U, then A^T U -> V, on a (n, k, d) stack
+        k = W.shape[1]
+        U, obj_u = _block_update((A @ W.reshape(n, k * d)).reshape(m, k, d), qs, q)
+        V, obj = _block_update((A.T @ U.reshape(m, k * d)).reshape(n, k, d), p, ps)
+        return U, V, obj_u, obj
+
+    U, V_prev = np.zeros((m, restarts, d)), V
     active = np.arange(restarts)
     traces = [[] for _ in range(restarts)]
     final = [None] * restarts
     obj_prev = np.full(restarts, -math.inf)
     for it in range(max_iters):
-        R = active.size
-        U, obj_u = _block_update((A @ V.reshape(n, R * d)).reshape(m, R, d), qs, q)
-        V, obj = _block_update((A.T @ U.reshape(m, R * d)).reshape(n, R, d), p, ps)
+        U, V_new, obj_u, obj = sweep(2.0 * V - V_prev)
+        fell = obj < obj_prev
+        if fell.any():
+            U[:, fell], V_new[:, fell], obj_u[fell], obj[fell] = sweep(V[:, fell])
+            fallbacks[active[fell]] += 1
+        V_prev, V = V, V_new
         bad = ~(np.isfinite(obj_u) & np.isfinite(obj))
         if bad.any():
             k = int(np.argmax(bad))
@@ -157,17 +176,18 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 4,
         keep = ~stalled
         if not keep.any():
             break
-        active, U, V, obj_prev = active[keep], U[:, keep], V[:, keep], obj[keep]
+        active, U, V, V_prev, obj_prev = (active[keep], U[:, keep], V[:, keep],
+                                          V_prev[:, keep], obj[keep])
     else:
         for k, r in enumerate(active):
             final[r] = (U[:, k], V[:, k], False)
     best = None
-    for (Ur, Vr, converged), trace in zip(final, traces):
+    for (Ur, Vr, converged), trace, fb in zip(final, traces, fallbacks):
         value = float(np.sum(A * (Ur @ Vr.T))) * scale
         if best is None or value > best.value:
             best = RelaxationSolution(U=np.ascontiguousarray(Ur), V=np.ascontiguousarray(Vr),
                                       value=value, converged=converged,
-                                      iterations=len(trace),
+                                      iterations=len(trace), fallbacks=int(fb),
                                       objective_trace=np.asarray(trace) * scale)
     return best
 

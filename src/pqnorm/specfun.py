@@ -81,6 +81,12 @@ def gaussian_moment_pow(r: float) -> float:
 def gaussian_moment(r: float) -> float:
     """The Gaussian moment norm (E|g|^r)^(1/r); the r = 0 limit is 1."""
     logpow = _log_moment(r)
+    if math.isinf(logpow):
+        # log Gamma((1 + r) / 2), and so log E|g|^r, passes the float64 range
+        # from r ~ 5.1e305 on; divided by r, the terms of order 1/r vanish
+        # and what is left is sqrt(2 t / e), with t the Lanczos point
+        # (1 + r) / 2 + g - 1/2 of log_gamma
+        return math.sqrt(2.0 * ((1.0 + r) / 2.0 + _LANCZOS_G - 0.5) / math.e)
     return math.exp(logpow / r) if r else 1.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pqnorm.errors import DomainError
-from pqnorm.factorization import build_certificate, solve_dual
+from pqnorm.factorization import _cs_weights, _min_eig_scaled, build_certificate, solve_dual
 from pqnorm.krivine import NormPair
 from pqnorm.relaxation import ProblemInstance, brute_force_norm, lp_norm, solve_cp
 
@@ -54,15 +54,27 @@ class TestSolveDual:
         cs_s = np.linalg.norm(A @ primal.V, axis=1) / np.linalg.norm(primal.U, axis=1)
         cs_t = np.linalg.norm(A.T @ primal.U, axis=1) / np.linalg.norm(primal.V, axis=1)
         c = dual.s[0] / cs_s[0]
-        assert c >= 1.0
+        assert c > 1.0
         np.testing.assert_allclose(dual.s, c * cs_s, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(dual.t, c * cs_t, rtol=1e-12, atol=0.0)
         assert dual.min_eigenvalue >= -1e-9
         assert dual.value >= primal.value
 
+    @pytest.mark.parametrize("pair", [NormPair(math.inf, 1.0), NormPair(4.0, 4.0 / 3.0),
+                                      NormPair(2.0, 2.0)])
+    def test_repaired_min_eigenvalue_in_closed_form(self, pair):
+        # scaling (s, t) by c turns I - K into I - K / c; the repair always
+        # scales, so the bound is rounded outward even from lambda_min >= 0
+        for seed in range(3):
+            A = np.random.default_rng(seed).standard_normal((12, 9))
+            primal = solve_cp(ProblemInstance(A, pair), seed=seed)
+            s, t, lam = _cs_weights(A, primal.U, primal.V)
+            assert lam > 0.0
+            assert lam == pytest.approx(_min_eig_scaled(A, s, t), abs=1e-14)
+
     def test_spectral_stall_instance_is_covered(self):
-        # solve_cp stops on an objective stall just below ||A||_2 here; the
-        # dual value is still an upper bound, with a small gap
+        # solve_cp stops on an objective stall 2e-14 relative below ||A||_2
+        # here; the dual value is still an upper bound, with a small gap
         A = np.random.default_rng(0).standard_normal((8, 8))
         inst = ProblemInstance(A, NormPair(2.0, 2.0))
         primal = solve_cp(inst)
@@ -93,8 +105,8 @@ def test_sandwich_family(shape, pair):
         # weak duality, up to rounding where the relaxation is tight (rank one)
         assert primal.value <= dual.value * (1.0 + 1e-12)
         # solve_cp stops on an objective stall, which leaves its value up to
-        # 7.7e-9 relative below the Holder lower bound in this family
-        assert lower <= primal.value * (1.0 + 1e-8)
+        # 1.9e-12 relative below the Holder lower bound in this family
+        assert lower <= primal.value * (1.0 + 1e-10)
         cert = build_certificate(inst, dual.s, dual.t)
         assert cert.spectral_norm_B <= 1.0 + 1e-9
         assert cert.reconstruction_error <= 1e-12 * np.max(np.abs(A))

@@ -54,6 +54,23 @@ class TestSolveCP:
         tr = sol.objective_trace
         assert np.all(np.diff(tr) >= -1e-12 * np.maximum(1.0, np.abs(tr[:-1])))
 
+    def test_extrapolation_cuts_iterations(self):
+        # the round_dense benchmark pool's 100x100 base at (inf, 1); the plain
+        # alternating solver took 829 iterations here
+        A = np.random.default_rng([1804_03644, 1, 100]).standard_normal((100, 100))
+        sol = solve_cp(ProblemInstance(A, NormPair(math.inf, 1.0)), seed=7)
+        assert sol.converged and sol.iterations < 300
+        assert sol.fallbacks >= 1
+        assert np.all(np.diff(sol.objective_trace) >= 0.0)
+
+    @pytest.mark.parametrize("n,seed", [(8, 0), (10, 1), (10, 2)])
+    def test_spectral_value_reaches_norm(self, n, seed):
+        # at (2, 2) the relaxation's optimum is ||A||_2; the plain solver
+        # stalled up to 1.8e-9 relative below it on these instances
+        A = np.random.default_rng(seed).standard_normal((n, n))
+        sol = solve_cp(ProblemInstance(A, NormPair(2.0, 2.0)), seed=seed)
+        assert sol.value == pytest.approx(np.linalg.norm(A, 2), rel=1e-10)
+
     def test_feasibility_and_value_reproducible(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((5, 4))

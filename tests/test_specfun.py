@@ -99,6 +99,16 @@ class TestGaussianMoment:
     def test_no_overflow_for_large_r(self):
         assert 5.0 < gaussian_moment(1000.0) < 30.0
 
+    @pytest.mark.parametrize("r", [1e306, 1e308])
+    def test_finite_where_the_log_moment_overflows(self, r):
+        # log E|g|^r is past float64 here, but the moment norm is sqrt(r/e)
+        # up to terms of relative order log(r)/r
+        assert gaussian_moment(r) == pytest.approx(math.sqrt(r / math.e), rel=1e-9)
+
+    def test_log_moment_path_kept_below_overflow(self):
+        logpow = 0.5e305 * math.log(2.0) - 0.5 * math.log(math.pi) + log_gamma(0.5e305 + 0.5)
+        assert gaussian_moment(1e305) == math.exp(logpow / 1e305) == 1.9180183554163815e152
+
     @pytest.mark.parametrize("fn", [gaussian_moment, gaussian_moment_pow])
     @pytest.mark.parametrize("r", [math.inf, math.nan])
     def test_non_finite_is_domain_error(self, fn, r):
