@@ -64,6 +64,39 @@ def unit_rows(W: np.ndarray):
     return W / np.where(norms > 0, norms, 1.0)[..., None], norms
 
 
+def _holder_rows(Z: np.ndarray, r: float, e: float = 0.0):
+    """sgn(Z)|Z|^(r-1) and, along the last axis, the row factors ||Z||_r^(-e).
+
+    One pow per call: ||Z||_r^r is the row sum of sgn(Z)|Z|^(r-1) * Z.  r = 1
+    is the sign map and r = 2 the identity, with no pow; e = 0 computes no
+    norm and gives factors of one.  A zero row gets factor 1.
+    """
+    if r == 1.0:
+        D = np.sign(Z)
+    elif r == 2.0:
+        D = Z
+    else:
+        D = np.copysign(np.abs(Z) ** (r - 1.0), Z)
+    if e == 0.0:
+        return D, np.ones(Z.shape[:-1])
+    S = np.einsum("...i,...i->...", D, Z)
+    return D, np.where(S > 0.0, S, 1.0) ** (-e / r)
+
+
+def holder_dual(z: np.ndarray, r: float) -> np.ndarray:
+    """sgn(z) |z|^(r-1): the maximizer of <., z> over the unit l_r ball.
+
+    Satisfies <psi_r(z), z> = ||z||_r^r and ||psi_r(z)||_{r*} = ||z||_r^(r-1).
+    r = 1 degenerates to the sign map.  Returns a new array.
+    """
+    z = np.array(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("input must be finite")
+    if math.isinf(r) or r < 1.0:
+        raise DomainError(f"exponent must lie in [1, inf), got {r}")
+    return _holder_rows(z, r)[0]
+
+
 def _block_update(W: np.ndarray, r_constraint: float, r_value: float):
     """Maximize sum_i <x^i, w^i> over sum_i ||x^i||^r_constraint <= 1.
 
@@ -196,8 +229,6 @@ def holder_ascent(A: np.ndarray, pair: NormPair, x0: np.ndarray,
                   max_iters: int = 500, tol: float = 1e-14) -> tuple:
     """Nonlinear power iteration x <- psi_{p*}(A^T psi_q(A x)) on the unit
     p-sphere; each half-step is a block optimum so ||Ax||_q ascends."""
-    from .rounding import holder_dual
-
     p, q, ps = pair.p, pair.q, pair.p_star
     x = x0 / max(lp_norm(x0, p), 1e-300)
     val_prev = -math.inf

@@ -9,31 +9,14 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, odd_horner
-from .relaxation import ProblemInstance, RelaxationSolution, unit_rows
+from .relaxation import ProblemInstance, RelaxationSolution, _holder_rows, unit_rows
+from .relaxation import holder_dual  # noqa: F401  (kept importable from here)
 from .specfun import gaussian_moment_pow
 
 _REPAIR_LIMIT = 1e-6
 
 #: Gaussian samples drawn and scored per block in sample_round
-_CHUNK = 65536
-
-
-def holder_dual(z: np.ndarray, r: float) -> np.ndarray:
-    """sgn(z) |z|^(r-1): the maximizer of <., z> over the unit l_r ball.
-
-    Satisfies <psi_r(z), z> = ||z||_r^r and ||psi_r(z)||_{r*} = ||z||_r^(r-1).
-    r = 1 degenerates to the sign map.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("input must be finite")
-    if math.isinf(r) or r < 1.0:
-        raise DomainError(f"exponent must lie in [1, inf), got {r}")
-    if r == 1.0:
-        return np.sign(z)
-    if r == 2.0:
-        return z.copy()
-    return np.sign(z) * np.abs(z) ** (r - 1.0)
+_CHUNK = 512
 
 
 @dataclass
@@ -127,54 +110,50 @@ class RoundedSolution:
     empirical_mean_value: float
 
 
-def _feasible_points(P, Q, pair):
-    """Map Gaussian projections to unit-sphere points (y on l_{q*}, x on l_p)."""
-    q, ps, a, b = pair.q, pair.p_star, pair.a, pair.b
-    yu = holder_dual(P, q)
-    xu = holder_dual(Q, ps)
-    qn = np.sum(np.abs(P) ** q, axis=1) ** (1.0 / q)
-    pn = np.sum(np.abs(Q) ** ps, axis=1) ** (1.0 / ps)
-    y = yu / np.where(qn > 0, qn, 1.0)[:, None] ** b
-    x = xu / np.where(pn > 0, pn, 1.0)[:, None] ** a
-    return y, x, qn, pn
-
-
 def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
                  seed: int = 0) -> RoundedSolution:
-    """Sample the rounding: Gaussian projections of the Gram factor rows,
-    Holder-dual maps, normalization to the unit spheres, best and mean of
-    y^T A x across samples.  Deterministic for fixed seed and sample count."""
+    """Sample the rounding: best and mean of y^T A x over Gaussian samples.
+
+    A sample g projects to P = Lu g and Q = Lv g (the scaled factor rows)
+    and rounds to y = psi_q(P) / ||P||_q^b on the unit l_{q*} sphere and
+    x = psi_{p*}(Q) / ||Q||_{p*}^a on the unit l_p sphere.  So its value is
+    psi_q(P)^T A psi_{p*}(Q) / (||P||_q^b ||Q||_{p*}^a), and only the winner
+    is scaled onto the spheres.  Samples are drawn, projected and scored in
+    blocks of _CHUNK, so memory does not grow with num_samples; consecutive
+    block draws are the numbers one draw of all samples would give.  An
+    all-zero projection on a side with a nonzero row (a measure-zero event)
+    is redrawn.  Deterministic for fixed seed and sample count."""
     if num_samples < 1:
         raise DomainError(f"sample count must be at least 1, got {num_samples}")
     A, pair = inst.A, tg.pair
-    Lu, Lv = tg.scaled_factors()
+    m = tg.m
+    Lt = np.vstack(tg.scaled_factors()).T
+    live_u, live_v = (tg.u_norms > 0).any(), (tg.v_norms > 0).any()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
     d = tg.factor.shape[1]
+
+    def dead_rows(PQ):
+        return (live_u & ~PQ[:, :m].any(axis=1)) | (live_v & ~PQ[:, m:].any(axis=1))
+
     best_val = -math.inf
     best_y = best_x = None
     total = 0.0
-    done = 0
-    while done < num_samples:
-        count = min(_CHUNK, num_samples - done)
-        G = rng.standard_normal((count, d))
-        P = G @ Lu.T
-        Q = G @ Lv.T
-        # resample the measure-zero event of an all-zero projection
-        dead = (np.all(P == 0.0, axis=1) & (tg.u_norms > 0).any()) | \
-               (np.all(Q == 0.0, axis=1) & (tg.v_norms > 0).any())
-        while np.any(dead):
-            G2 = rng.standard_normal((int(dead.sum()), d))
-            P[dead] = G2 @ Lu.T
-            Q[dead] = G2 @ Lv.T
-            dead[dead] = (np.all(P[dead] == 0.0, axis=1)) | (np.all(Q[dead] == 0.0, axis=1))
-        y, x, _, _ = _feasible_points(P, Q, pair)
-        vals = np.einsum("ij,ij->i", y @ A, x)
+    for done in range(0, num_samples, _CHUNK):
+        PQ = rng.standard_normal((min(_CHUNK, num_samples - done), d)) @ Lt
+        dead = dead_rows(PQ)
+        while dead.any():
+            PQ[dead] = rng.standard_normal((int(dead.sum()), d)) @ Lt
+            dead[dead] = dead_rows(PQ[dead])
+        if not np.all(np.isfinite(PQ)):
+            raise DomainError("input must be finite")
+        Dy, sy = _holder_rows(PQ[:, :m], pair.q, pair.b)
+        Dx, sx = _holder_rows(PQ[:, m:], pair.p_star, pair.a)
+        vals = np.einsum("ij,ij->i", Dy @ A, Dx) * sy * sx
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
-            best_y, best_x = y[i].copy(), x[i].copy()
+            best_y, best_x = Dy[i] * sy[i], Dx[i] * sx[i]
         total += float(np.sum(vals))
-        done += count
     return RoundedSolution(y=best_y, x=best_x, value=best_val,
                            sample_count=num_samples,
                            empirical_mean_value=total / num_samples)
@@ -210,28 +189,24 @@ def rounding_identity_stats(inst: ProblemInstance, tg: TransformedGram,
     identity when it is 0 (the sign map forgets scale).  The denominator
     satisfies E ||phi(U) g||_q^b ||psi(V) g||_{p*}^a <= gamma_{p*}^a gamma_q^b.
     """
-    A, pair = inst.A, tg.pair
+    pair = tg.pair
     m, n = tg.m, tg.n
     q, ps, a, b = pair.q, pair.p_star, pair.a, pair.b
-    Lu, Lv = tg.scaled_factors()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x1D,)))
-    G = rng.standard_normal((num_samples, tg.factor.shape[1]))
-    P = G @ Lu.T
-    Q = G @ Lv.T
-    YU = holder_dual(P, q)
-    XU = holder_dual(Q, ps)
-    prod = np.einsum("si,sj->sij", YU, XU)
-    num_mean = prod.mean(axis=0)
-    num_se = prod.std(axis=0) / math.sqrt(num_samples)
+    Lt = np.vstack(tg.scaled_factors()).T
+    PQ = rng.standard_normal((num_samples, tg.factor.shape[1])) @ Lt
+    YU, sy = _holder_rows(PQ[:, :m], q, b)
+    XU, sx = _holder_rows(PQ[:, m:], ps, a)
+    num_mean = YU.T @ XU / num_samples
+    num_sq = (YU * YU).T @ (XU * XU) / num_samples
+    num_se = np.sqrt(np.maximum(num_sq - num_mean ** 2, 0.0) / num_samples)
 
     su = tg.u_norms if b > 0 else np.ones(m)
     sv = tg.v_norms if a > 0 else np.ones(n)
     gam = gaussian_moment_pow(ps) * gaussian_moment_pow(q)
     ref = gam * tg.c_ab * (su[:, None] * (unit_rows(sol.U)[0] @ unit_rows(sol.V)[0].T) * sv[None, :])
 
-    qn = np.sum(np.abs(P) ** q, axis=1) ** (1.0 / q)
-    pn = np.sum(np.abs(Q) ** ps, axis=1) ** (1.0 / ps)
-    den = qn ** b * pn ** a
+    den = 1.0 / (sy * sx)
     den_bound = gaussian_moment_pow(ps) ** (a / ps) * gaussian_moment_pow(q) ** (b / q)
     return RoundingMomentStats(
         numerator_mean=num_mean,

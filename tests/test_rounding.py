@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pqnorm.relaxation import (
     solve_cp,
 )
 from pqnorm.rounding import (
+    _CHUNK,
     build_transformed_gram,
     holder_dual,
     rounding_identity_stats,
@@ -153,7 +155,124 @@ class TestSampleRound:
         assert np.array_equal(r1.y, r2.y)
 
 
+def one_draw_round(inst, tg, num_samples, seed):
+    """The rounding in one piece: every sample drawn at once, every row put
+    on the unit spheres, then scored.  Returns the winner's index and value,
+    y and x, and the mean value."""
+    pair = tg.pair
+    Lu, Lv = tg.scaled_factors()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
+    G = rng.standard_normal((num_samples, tg.factor.shape[1]))
+    P, Q = G @ Lu.T, G @ Lv.T
+    qn = np.sum(np.abs(P) ** pair.q, axis=1) ** (1.0 / pair.q)
+    pn = np.sum(np.abs(Q) ** pair.p_star, axis=1) ** (1.0 / pair.p_star)
+    y = holder_dual(P, pair.q) / qn[:, None] ** pair.b
+    x = holder_dual(Q, pair.p_star) / pn[:, None] ** pair.a
+    vals = np.einsum("ij,ij->i", y @ inst.A, x)
+    i = int(np.argmax(vals))
+    return i, float(vals[i]), y[i], x[i], float(vals.mean())
+
+
+PAIRS = [(math.inf, 1.0), (4.0, 4.0 / 3.0), (2.0, 2.0), (3.0, 1.5), (2.0, 1.0), (math.inf, 1.5)]
+
+
+@pytest.fixture(scope="module", params=PAIRS, ids=lambda pq: f"{pq[0]}-{pq[1]:.3g}")
+def rounded_pipeline(request):
+    p, q = request.param
+    return pipeline(np.random.default_rng(61).standard_normal((7, 5)), p, q, restarts=4)
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_matches_one_draw_rounding(self, rounded_pipeline, count):
+        inst, sol, c, tg = rounded_pipeline
+        i, value, y, x, mean = one_draw_round(inst, tg, count, seed=17)
+        rs = sample_round(inst, tg, num_samples=count, seed=17)
+        # the same winning sample, at the same value, and the same mean
+        assert np.allclose(rs.y, y, rtol=1e-13, atol=0.0)
+        assert np.allclose(rs.x, x, rtol=1e-13, atol=0.0)
+        assert rs.value == pytest.approx(value, rel=1e-13)
+        assert rs.empirical_mean_value == pytest.approx(mean, rel=1e-13)
+        assert rs.sample_count == count
+        if inst.pair.a == 0.0 and inst.pair.b == 0.0:
+            # sign rounding: no norm is taken, so the value is the same float
+            assert rs.value == value
+
+    def test_memory_does_not_grow_with_samples(self):
+        A = np.random.default_rng(100).standard_normal((100, 100))
+        inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0, restarts=1)
+        tracemalloc.start()
+        try:
+            sample_round(inst, tg, num_samples=10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one draw of all 10,000 samples would hold 10,000 x 200 doubles
+        # (16 MB) several times over
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0)])
+    def test_dead_projection_is_redrawn(self, monkeypatch, p, q):
+        inst, sol, c, tg = pipeline(np.random.default_rng(62).standard_normal((6, 5)), p, q)
+        count, row = 2 * _CHUNK + 3, 7
+        plain = sample_round(inst, tg, num_samples=count, seed=4)
+        real_rng = np.random.default_rng
+        shapes = []
+
+        class KillOneRow:
+            """Zeroes one row of the second block; its first redraw is all
+            zero again, the second returns the row that was zeroed."""
+
+            def __init__(self, seed_seq):
+                self.rng = real_rng(seed_seq)
+
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                if len(shapes) == 2:
+                    G = self.rng.standard_normal(shape)
+                    self.lost = G[row].copy()
+                    G[row] = 0.0
+                    return G
+                if len(shapes) == 3:
+                    return np.zeros(shape)
+                if len(shapes) == 4:
+                    return self.lost[None, :]
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", KillOneRow)
+        rs = sample_round(inst, tg, num_samples=count, seed=4)
+        d = tg.factor.shape[1]
+        assert shapes == [(_CHUNK, d), (_CHUNK, d), (1, d), (1, d), (3, d)]
+        assert rs.sample_count == count
+        assert np.all(np.isfinite(rs.y)) and np.all(np.isfinite(rs.x))
+        assert lp_norm(rs.y, inst.pair.q_star) == pytest.approx(1.0, abs=1e-12)
+        assert lp_norm(rs.x, inst.pair.p) == pytest.approx(1.0, abs=1e-12)
+        # the redrawn row is the lost one, so the same samples were scored;
+        # a row left at zero would score 0 and move the mean by ~1/count
+        assert rs.value == pytest.approx(plain.value, rel=1e-13)
+        assert rs.empirical_mean_value == pytest.approx(plain.empirical_mean_value, rel=1e-13)
+
+
 class TestMomentIdentities:
+    @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0), (2.0, 2.0)])
+    def test_moments_match_the_outer_product_tensor(self, p, q):
+        rng = np.random.default_rng(9)
+        inst, sol, c, tg = pipeline(rng.standard_normal((5, 4)), p, q)
+        N = 3000
+        stats = rounding_identity_stats(inst, tg, sol, num_samples=N, seed=6)
+        pair = tg.pair
+        Lu, Lv = tg.scaled_factors()
+        draw = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(0x1D,)))
+        G = draw.standard_normal((N, tg.factor.shape[1]))
+        P, Q = G @ Lu.T, G @ Lv.T
+        prod = np.einsum("si,sj->sij", holder_dual(P, pair.q), holder_dual(Q, pair.p_star))
+        assert np.allclose(stats.numerator_mean, prod.mean(axis=0), rtol=1e-12, atol=1e-14)
+        assert np.allclose(stats.numerator_se, prod.std(axis=0) / math.sqrt(N), rtol=1e-8, atol=0.0)
+        den = (np.sum(np.abs(P) ** pair.q, axis=1) ** (pair.b / pair.q)
+               * np.sum(np.abs(Q) ** pair.p_star, axis=1) ** (pair.a / pair.p_star))
+        assert stats.denominator_mean == pytest.approx(den.mean(), rel=1e-13)
+
+
     @pytest.mark.parametrize("p,q,seed", [(math.inf, 1.0, 1), (4.0, 4.0 / 3.0, 2)])
     def test_numerator_identity_within_4_sigma(self, p, q, seed):
         rng = np.random.default_rng(seed)
