@@ -15,6 +15,8 @@ compressed form of ``g(f(rho)) = rho``; the inverse series is then
 
 import numpy as np
 
+from .errors import DomainError
+
 #: the one kernel implementation, recorded in benchmark machine records
 BACKEND = "numpy"
 
@@ -22,15 +24,19 @@ BACKEND = "numpy"
 def revert_odd_batch(F):
     """Invert a batch of odd series given in compressed form.
 
-    ``F`` has shape (B, M+1) with ``F[:, 0] != 0``; row ``r`` encodes
-    ``f(rho) = sum_m F[r, m] rho**(2m+1)``.  Returns ``G`` of the same shape
-    with ``f^{-1}(y) = sum_m G[r, m] y**(2m+1)`` up to order ``2M+1``.
+    ``F`` has shape (B, M+1) with ``F[:, 0] != 0`` and finite entries; row
+    ``r`` encodes ``f(rho) = sum_m F[r, m] rho**(2m+1)``.  Returns ``G`` of
+    the same shape with ``f^{-1}(y) = sum_m G[r, m] y**(2m+1)`` up to order
+    ``2M+1``.  Rows are independent: a row reverts to the same bits alone or
+    in any batch.
     """
     F = np.ascontiguousarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise ValueError("expected a 2-d batch of compressed coefficients")
+    if F.ndim != 2 or F.shape[1] == 0:
+        raise DomainError("expected a 2-d batch of compressed coefficients")
     if np.any(F[:, 0] == 0.0):
-        raise ValueError("leading compressed coefficient must be nonzero")
+        raise DomainError("reversion requires a nonzero linear coefficient")
+    if not np.all(np.isfinite(F)):
+        raise DomainError("coefficients must be finite")
     B, Mp1 = F.shape
     M = Mp1 - 1
     R = np.zeros_like(F)

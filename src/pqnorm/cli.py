@@ -175,9 +175,10 @@ def _suite_contours(args):
                          skipped=rep.skipped)
     worst = min(oracles.beta_bound_expression(b) for b in np.linspace(0.0, 0.999, 201))
     yield _check("beta-bound-expression", worst >= 1.003, min_value=worst)
-    for a, b in [(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)]:
-        pair = krivine.NormPair.from_ab(a, b)
-        g = series.revert(krivine.f_bar_w_coeffs(pair.a, pair.b, 15))  # order 31
+    lattice = [(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)]
+    pairs = [krivine.NormPair.from_ab(a, b) for a, b in lattice]
+    cg = krivine.inverse_coeff_grid(([p.a for p in pairs], [p.b for p in pairs]), 31)
+    for (a, b), g in zip(lattice, cg.G):  # one reversion for the three pairs
         for k in (3, 5, 7, 9):
             est = oracles.contour_inverse_coeff(a, b, k)
             ok = abs(est - g[k // 2]) < 1e-6
@@ -262,20 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "p->q operator norms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p_default=None, q_default=None, samples_default=10_000):
-        sp.add_argument("--order", type=int, default=series.CERT_ORDER, metavar="K",
-                        help="series truncation order (default %(default)s)")
-        sp.add_argument("--grid", type=int, default=101, metavar="N",
-                        help="grid resolution (default %(default)s)")
-        sp.add_argument("--samples", type=int, default=samples_default, metavar="N",
-                        help="sample count (default %(default)s)")
-        sp.add_argument("--seed", type=int, default=0, metavar="S")
-        sp.add_argument("--in", dest="in_path", default=None, metavar="PATH")
+    flags = {
+        "order": dict(type=int, default=series.CERT_ORDER, metavar="K",
+                      help="series truncation order (default %(default)s)"),
+        "grid": dict(type=int, default=101, metavar="N", help="grid resolution (default %(default)s)"),
+        "samples": dict(type=int, default=10_000, metavar="N", help="sample count (default %(default)s)"),
+        "seed": dict(type=int, default=0, metavar="S"),
+        "in": dict(dest="in_path", default=None, metavar="PATH"),
+        "tol": dict(type=float, default=1e-4, metavar="X"),
+        "p": dict(type=_float_or_inf, default=math.inf),
+        "q": dict(type=float, default=1.0),
+    }
+
+    def options(sp, *names):
+        """Each named option, the ones the command reads, and --out."""
+        for name in names:
+            sp.add_argument(f"--{name}", **flags[name])
         sp.add_argument("--out", dest="out_path", default=None, metavar="PATH")
-        sp.add_argument("--tol", type=float, default=1e-4, metavar="X")
-        if p_default is not None:
-            sp.add_argument("--p", dest="p", type=_float_or_inf, default=p_default)
-            sp.add_argument("--q", dest="q", type=float, default=q_default)
 
     sp = sub.add_parser("bounds", help="CSV sweep of approximation-ratio bounds")
     sp.add_argument("--p", dest="p_text", default="2:100",
@@ -283,28 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
                          "an inf row is appended to sweeps)")
     sp.add_argument("--q", dest="q_text", default="dual",
                     help="'dual' for q = p*, or a fixed value (default %(default)s)")
-    common(sp)
+    options(sp, "order", "grid", "tol")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("round", help="full relax-transform-round pipeline on a matrix")
-    common(sp, p_default=math.inf, q_default=1.0)
+    options(sp, "in", "p", "q", "order", "samples", "seed", "tol")
     sp.set_defaults(func=cmd_round)
 
     sp = sub.add_parser("factorize", help="dual weights and factorization certificate")
-    common(sp, p_default=math.inf, q_default=1.0)
+    options(sp, "in", "p", "q", "seed")
     sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("verify", help="run a verification suite (JSON lines)")
     sp.add_argument("suite", choices=sorted(_SUITES))
-    common(sp, samples_default=1_000_000)  # Monte Carlo wants many samples
-    sp.set_defaults(func=cmd_verify)
+    options(sp, "order", "grid", "samples", "seed")
+    sp.set_defaults(func=cmd_verify, samples=1_000_000)  # Monte Carlo wants many samples
 
     sp = sub.add_parser("check-conditions", help="coefficient conditions on the grid")
-    common(sp)
+    options(sp, "order", "grid")
     sp.set_defaults(func=cmd_check_conditions)
 
     sp = sub.add_parser("certify-defect", help="tail certificate for the bound constant")
-    common(sp)
+    options(sp, "order", "grid")
     sp.set_defaults(func=cmd_certify_defect)
     return parser
 

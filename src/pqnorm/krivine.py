@@ -85,6 +85,62 @@ def f_bar_w_coeffs(a, b, M: int) -> np.ndarray:
     return F
 
 
+def _series_tail(fit: series.TailFit, K: int):
+    """The fitted geometric bound on sum_{k > K} |g_k| |x|^k, over every
+    degree, odd and even, at the per-degree ratio rho = sqrt(ratio_w), as a
+    function of x; inf once rho|x| reaches 1."""
+    rho = np.sqrt(fit.ratio_w)
+    k_last = 2 * fit.m_last + 1
+    k_rest = K + 1 - k_last
+
+    def tail(x):
+        x = np.abs(x)
+        r = rho * x
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # r >= 1, masked
+            t = fit.last * x ** k_last * r ** k_rest / (1.0 - r)
+        return np.where(r >= 1.0, math.inf, t)
+
+    return tail
+
+
+def _bisect(H: np.ndarray, tail) -> np.ndarray:
+    """Per row of H, the root on [0, 1] of hhat(x) + tail(x) = 1 from below,
+    by halving until no row's midpoint moves (about 53 halvings)."""
+    n = H.shape[0]
+    lo, hi, mid = np.zeros(n), np.ones(n), np.full(n, -1.0)
+    for _ in range(100):
+        prev, mid = mid, 0.5 * (lo + hi)
+        if np.array_equal(mid, prev):
+            break
+        below = series.odd_horner(H, mid) + tail(mid) < 1.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _solve_c(pairs, K: int, tol: float):
+    """c_ab, the signed inverse rows G and the tail bound at c_ab for every
+    pair, from one reversion, one tail fit and one row-wise bisection.
+    Raises CertificationError for the first pair, in order, whose c_ab the
+    tail does not certify within tol."""
+    if K < 30:
+        raise DomainError("certification needs K >= 30")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    G = inverse_coeff_grid(([p.a for p in pairs], [p.b for p in pairs]), K).G
+    H = np.abs(G)
+    tail = _series_tail(series.tail_fit(H), K)
+    c = _bisect(H, tail)
+    bad = np.flatnonzero(series.odd_horner(H, c) < 1.0 - tol)
+    if bad.size:
+        i = bad[0]
+        raise CertificationError(
+            f"tail estimate {tail(c)[i]:.3e} too large to certify hhat(c) within {tol:.1e}",
+            uncertified=float(_bisect(H[i:i + 1], lambda x: 0.0)[0]),
+        )
+    return c, G, tail(c)
+
+
 def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
     """Solve hhat(c) = 1 where hhat has the absolute inverse coefficients.
 
@@ -93,38 +149,14 @@ def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
     by bisection on [0, 1] against hhat plus its tail estimate, so hhat(c_ab)
     lands in [1-tol, 1] including the discarded tail; hhat is strictly
     increasing there because all its coefficients are nonnegative and the
-    linear one equals 1.
+    linear one equals 1.  This is the one-row case of :func:`bounds_sweep`.
 
     The root approaches the convergence radius as a or b approach 1, where
     the K = 60 tail certifies only to about 4e-5; hence the loose default.
     Away from that edge much tighter tolerances hold at the same K.
     """
-    if K < 30:
-        raise DomainError("certification needs K >= 30")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    g = series.revert(f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2))
-    h = np.abs(g)
-
-    def bisect(fn):
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if fn(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    tail = series.tail_fit(h, K)
-    c = bisect(lambda x: series.evaluate(h, x) + tail(x))
-    if series.evaluate(h, c) < 1.0 - tol:
-        plain_root = bisect(lambda x: series.evaluate(h, x))
-        raise CertificationError(
-            f"tail estimate {tail(c):.3e} too large to certify hhat(c) within {tol:.1e}",
-            uncertified=plain_root,
-        )
-    return c, g, tail(c)
+    c, G, tail = _solve_c([pair], K, tol)
+    return float(c[0]), G[0], float(tail[0])
 
 
 def steinberg_ratio(pair: NormPair) -> float:
@@ -143,18 +175,14 @@ def approx_ratio(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4) -> Boun
     ``tol`` is passed to :func:`compute_c_ab`; it only decides whether the
     tail certifies c_ab (``CertificationError`` if not), not c_ab itself.
     """
-    c, g, tail = compute_c_ab(pair, K, tol=tol)
+    return _report(pair, K, *compute_c_ab(pair, K, tol=tol))
+
+
+def _report(pair: NormPair, K: int, c: float, g: np.ndarray, tail: float) -> BoundReport:
     ratio = 1.0 / (gaussian_moment(pair.p_star) * gaussian_moment(pair.q) * c)
-    return BoundReport(
-        pair=pair,
-        c_ab=c,
-        ratio=ratio,
-        krivine_ratio=KRIVINE_RATIO,
-        steinberg_ratio=steinberg_ratio(pair),
-        K=K,
-        tail_bound=tail,
-        inverse=g,
-    )
+    return BoundReport(pair=pair, c_ab=c, ratio=ratio, krivine_ratio=KRIVINE_RATIO,
+                       steinberg_ratio=steinberg_ratio(pair), K=K, tail_bound=tail,
+                       inverse=g)
 
 
 class CoeffGrid(NamedTuple):
@@ -249,55 +277,13 @@ class DefectCertificate:
     grid_size: int
 
 
-def _odd_tail_estimate(absG: np.ndarray, x: float) -> np.ndarray:
-    """Row-wise geometric tail for sum_{m>M} absG[:, m] x^(2m+1).
-
-    The ratio fit of :func:`pqnorm.series.tail_fit`, vectorised across grid
-    rows and taken per w = x^2 degree, so the geometric tail runs over odd
-    degrees only.  Entries below the noise floor of the reversion are not
-    used as ratio data.  The ratio per w-degree is the
-    largest gap ratio among each row's last <= 10 significant entries; the
-    tail is inf when that ratio times x^2 reaches 1, and 0 for rows with
-    fewer than two significant entries.
-    """
-    B, Mp1 = absG.shape
-    M = Mp1 - 1
-    top = np.max(absG, axis=1)
-    thresh = 1e-14 * np.maximum(top, 1e-300)
-    # each row's last <= 10 significant indices, ascending, -1 padding the
-    # left; the smallest index type that holds every difference keeps the
-    # temporaries of a 10^4-row grid small
-    cols = np.arange(Mp1, dtype=np.min_scalar_type(-2 * Mp1))
-    idx = np.where(absG >= thresh[:, None], cols, -1)
-    idx.sort(axis=1)
-    idx = idx[:, -10:]
-    vals = np.take_along_axis(absG, np.maximum(idx, 0), axis=1)
-    gap = idx[:, :-1] >= 0  # both ends of the gap are significant
-    with np.errstate(divide="ignore", invalid="ignore"):  # padded gaps, masked below
-        ratios = vals[:, 1:] / vals[:, :-1]
-        ratios **= 1.0 / np.diff(idx, axis=1)
-    ratios[~gap] = -np.inf
-    rw = np.max(ratios, axis=1) * x * x  # per-w-degree ratio times x^2
-    fit = gap[:, -1]
-    tails = np.where(fit & (rw >= 1.0), math.inf, 0.0)
-    ok = fit & (rw < 1.0)
-    m_last = idx[ok, -1]
-    rw = rw[ok]
-    tails[ok] = vals[ok, -1] * x ** (2 * m_last + 1) * rw ** (M + 1 - m_last) / (1.0 - rw)
-    return tails
-
-
-def odd_horner(coeffs: np.ndarray, x) -> np.ndarray:
-    """sum_m coeffs[..., m] x^(2m+1) by Horner in w = x^2.
-
-    Broadcasts: grid rows ``coeffs`` of shape (B, M+1) against a scalar or
-    one ``x`` per row, or one coefficient vector against a matrix ``x``
-    (entrywise)."""
-    w = x * x
-    acc = 0.0
-    for m in range(coeffs.shape[-1] - 1, -1, -1):
-        acc = acc * w + coeffs[..., m]
-    return x * acc
+def _odd_tail(fit: series.TailFit, M: int, x: float) -> np.ndarray:
+    """Geometric bound on sum_{m > M} |G[:, m]| x^(2m+1), over odd degrees
+    only; inf once the ratio per w-degree times x^2 reaches 1."""
+    rw = fit.ratio_w * x * x
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rw >= 1, masked
+        tail = fit.last * x ** (2 * fit.m_last + 1) * rw ** (M + 1 - fit.m_last) / (1.0 - rw)
+    return np.where(rw >= 1.0, math.inf, tail)
 
 
 def certify_defect(cg: CoeffGrid, t_odd: int = 31,
@@ -318,9 +304,9 @@ def certify_defect(cg: CoeffGrid, t_odd: int = 31,
     M = absG.shape[1] - 1
     m0 = (t_odd - 1) // 2
     powers = delta ** (2 * np.arange(m0, M + 1) + 1)
-    h_err = absG[:, m0:] @ powers + _odd_tail_estimate(absG, delta)
+    h_err = absG[:, m0:] @ powers + _odd_tail(series.tail_fit(absG), M, delta)
     rho = np.minimum(delta, np.arcsinh(1.0 - 2.0 * h_err))
-    hhat_at_rho = odd_horner(absG, rho)
+    hhat_at_rho = series.odd_horner(absG, rho)
     ok = bool(conds.all_pass and np.all(hhat_at_rho <= 1.0 + 1e-9))
     return DefectCertificate(
         t_odd=t_odd,
@@ -336,7 +322,7 @@ def certify_defect(cg: CoeffGrid, t_odd: int = 31,
 
 def hhat_grid_max(cg: CoeffGrid, x0: float) -> float:
     """max over the (a,b) grid of hhat(x0) at the grid's truncation order."""
-    return float(np.max(odd_horner(np.abs(cg.G), x0)))
+    return float(np.max(series.odd_horner(np.abs(cg.G), x0)))
 
 
 def cotype2_constant(exponent: float) -> float:
@@ -353,8 +339,11 @@ def cotype2_constant(exponent: float) -> float:
 def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER,
                  q_fixed: Optional[float] = None, tol: float = 1e-4):
     """BoundReports for a sweep over p; q is p* under the default rule.
-    ``tol`` certifies each c_ab as in :func:`approx_ratio`."""
-    reports = []
+
+    All pairs share one reversion and one row-wise bisection; each row is
+    bit for bit what :func:`approx_ratio` gives its pair.  ``tol`` certifies
+    each c_ab, and the first pair in order that fails raises."""
+    pairs = []
     for p in p_values:
         if q_rule == "dual":
             q = 1.0 if math.isinf(p) else p / (p - 1.0)
@@ -364,5 +353,8 @@ def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER,
             q = q_fixed
         else:
             raise DomainError(f"unknown q rule {q_rule!r}")
-        reports.append(approx_ratio(NormPair(p=p, q=q), K=K, tol=tol))
-    return reports
+        pairs.append(NormPair(p=p, q=q))
+    if not pairs:
+        return []
+    c, G, tail = _solve_c(pairs, K, tol)
+    return [_report(pair, K, float(c[i]), G[i], float(tail[i])) for i, pair in enumerate(pairs)]

@@ -12,7 +12,7 @@ from numpy.polynomial import hermite_e
 
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, f_bar_w_coeffs
-from .series import evaluate
+from .series import odd_horner
 from .specfun import _on_excluded_ray, euler_continuation, gamma_fn, gaussian_moment_pow
 
 # numpy renamed trapz to trapezoid in 2.0
@@ -46,7 +46,7 @@ def correlation_reference(a: float, b: float, rho: float, K: int = 400) -> float
     """gamma_{a+1}^{a+1} gamma_{b+1}^{b+1} * rho * 2F1(...; rho^2), the
     closed form the Monte Carlo is checked against."""
     pair = NormPair.from_ab(a, b)
-    val = evaluate(f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2), rho)
+    val = float(odd_horner(f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2), rho))
     return gaussian_moment_pow(a + 1.0) * gaussian_moment_pow(b + 1.0) * val
 
 

@@ -8,14 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .krivine import NormPair, odd_horner
+from .krivine import NormPair
 from .relaxation import ProblemInstance, RelaxationSolution, _holder_rows, unit_rows
 from .relaxation import holder_dual  # noqa: F401  (kept importable from here)
+from .series import odd_horner
 from .specfun import gaussian_moment_pow
 
 _REPAIR_LIMIT = 1e-6
 
-#: Gaussian samples drawn and scored per block in sample_round
+#: Gaussian samples drawn, mapped and scored per block (see _blocks)
 _CHUNK = 512
 
 
@@ -110,34 +111,23 @@ class RoundedSolution:
     empirical_mean_value: float
 
 
-def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
-                 seed: int = 0) -> RoundedSolution:
-    """Sample the rounding: best and mean of y^T A x over Gaussian samples.
-
-    A sample g projects to P = Lu g and Q = Lv g (the scaled factor rows)
-    and rounds to y = psi_q(P) / ||P||_q^b on the unit l_{q*} sphere and
-    x = psi_{p*}(Q) / ||Q||_{p*}^a on the unit l_p sphere.  So its value is
-    psi_q(P)^T A psi_{p*}(Q) / (||P||_q^b ||Q||_{p*}^a), and only the winner
-    is scaled onto the spheres.  Samples are drawn, projected and scored in
-    blocks of _CHUNK, so memory does not grow with num_samples; consecutive
-    block draws are the numbers one draw of all samples would give.  An
-    all-zero projection on a side with a nonzero row (a measure-zero event)
-    is redrawn.  Deterministic for fixed seed and sample count."""
+def _blocks(tg: TransformedGram, num_samples: int, rng):
+    """Gaussian samples g in blocks of _CHUNK, projected to P = Lu g and
+    Q = Lv g (the scaled factor rows): yields (D_y, s_y, D_x, s_x) per block,
+    D_y = psi_q(P) and s_y = ||P||_q^(-b) per row, D_x and s_x the same for
+    Q at p*, a.  Consecutive block draws are the numbers one draw of all
+    samples would give.  An all-zero projection on a side with a nonzero row
+    (a measure-zero event) is redrawn."""
     if num_samples < 1:
         raise DomainError(f"sample count must be at least 1, got {num_samples}")
-    A, pair = inst.A, tg.pair
-    m = tg.m
+    pair, m = tg.pair, tg.m
     Lt = np.vstack(tg.scaled_factors()).T
     live_u, live_v = (tg.u_norms > 0).any(), (tg.v_norms > 0).any()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
     d = tg.factor.shape[1]
 
     def dead_rows(PQ):
         return (live_u & ~PQ[:, :m].any(axis=1)) | (live_v & ~PQ[:, m:].any(axis=1))
 
-    best_val = -math.inf
-    best_y = best_x = None
-    total = 0.0
     for done in range(0, num_samples, _CHUNK):
         PQ = rng.standard_normal((min(_CHUNK, num_samples - done), d)) @ Lt
         dead = dead_rows(PQ)
@@ -146,9 +136,24 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
             dead[dead] = dead_rows(PQ[dead])
         if not np.all(np.isfinite(PQ)):
             raise DomainError("input must be finite")
-        Dy, sy = _holder_rows(PQ[:, :m], pair.q, pair.b)
-        Dx, sx = _holder_rows(PQ[:, m:], pair.p_star, pair.a)
-        vals = np.einsum("ij,ij->i", Dy @ A, Dx) * sy * sx
+        yield (*_holder_rows(PQ[:, :m], pair.q, pair.b),
+               *_holder_rows(PQ[:, m:], pair.p_star, pair.a))
+
+
+def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
+                 seed: int = 0) -> RoundedSolution:
+    """Sample the rounding: best and mean of y^T A x over Gaussian samples.
+
+    A sample rounds to y = D_y s_y on the unit l_{q*} sphere and x = D_x s_x
+    on the unit l_p sphere (see _blocks), so its value is D_y^T A D_x s_y s_x
+    and only the winner is scaled onto the spheres.  Memory does not grow
+    with num_samples.  Deterministic for fixed seed and sample count."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
+    best_val = -math.inf
+    best_y = best_x = None
+    total = 0.0
+    for Dy, sy, Dx, sx in _blocks(tg, num_samples, rng):
+        vals = np.einsum("ij,ij->i", Dy @ inst.A, Dx) * sy * sx
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -193,27 +198,30 @@ def rounding_identity_stats(inst: ProblemInstance, tg: TransformedGram,
     m, n = tg.m, tg.n
     q, ps, a, b = pair.q, pair.p_star, pair.a, pair.b
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x1D,)))
-    Lt = np.vstack(tg.scaled_factors()).T
-    PQ = rng.standard_normal((num_samples, tg.factor.shape[1])) @ Lt
-    YU, sy = _holder_rows(PQ[:, :m], q, b)
-    XU, sx = _holder_rows(PQ[:, m:], ps, a)
-    num_mean = YU.T @ XU / num_samples
-    num_sq = (YU * YU).T @ (XU * XU) / num_samples
-    num_se = np.sqrt(np.maximum(num_sq - num_mean ** 2, 0.0) / num_samples)
+    num_sum, num_sq = np.zeros((m, n)), np.zeros((m, n))
+    den_sum = den_sq = 0.0
+    for YU, sy, XU, sx in _blocks(tg, num_samples, rng):
+        num_sum += YU.T @ XU
+        num_sq += (YU * YU).T @ (XU * XU)
+        den = 1.0 / (sy * sx)
+        den_sum += float(np.sum(den))
+        den_sq += float(den @ den)
+    num_mean = num_sum / num_samples
+    num_se = np.sqrt(np.maximum(num_sq / num_samples - num_mean ** 2, 0.0) / num_samples)
+    den_mean = den_sum / num_samples
 
     su = tg.u_norms if b > 0 else np.ones(m)
     sv = tg.v_norms if a > 0 else np.ones(n)
     gam = gaussian_moment_pow(ps) * gaussian_moment_pow(q)
     ref = gam * tg.c_ab * (su[:, None] * (unit_rows(sol.U)[0] @ unit_rows(sol.V)[0].T) * sv[None, :])
 
-    den = 1.0 / (sy * sx)
     den_bound = gaussian_moment_pow(ps) ** (a / ps) * gaussian_moment_pow(q) ** (b / q)
     return RoundingMomentStats(
         numerator_mean=num_mean,
         numerator_se=num_se,
         numerator_ref=ref,
-        denominator_mean=float(den.mean()),
-        denominator_se=float(den.std() / math.sqrt(num_samples)),
+        denominator_mean=den_mean,
+        denominator_se=math.sqrt(max(den_sq / num_samples - den_mean ** 2, 0.0) / num_samples),
         denominator_bound=den_bound,
         sample_count=num_samples,
     )

@@ -1,17 +1,15 @@
-"""Odd truncated power series in compressed form: reversion, Horner
-evaluation, and a fitted geometric tail bound.
+"""Odd truncated power series in compressed form: Horner evaluation and the
+fitted geometric tail.
 
-Every series here is odd.  The 1-d array ``g`` stands for
-``sum_m g[m] x^(2m+1)``: entry m is the coefficient of degree 2m+1.  A series
-truncated at order K keeps the ``(K - 1) // 2 + 1`` odd degrees up to K.
+Every series here is odd.  A row ``g`` stands for ``sum_m g[m] x^(2m+1)``:
+entry m is the coefficient of degree 2m+1.  A series truncated at order K
+keeps the ``(K - 1) // 2 + 1`` odd degrees up to K.  Reversion is
+:func:`pqnorm._kernels.revert_odd_batch`, one row per series.
 """
 
-import math
+from typing import NamedTuple
 
 import numpy as np
-
-from . import _kernels
-from .errors import DomainError
 
 #: orders used by default: certification keeps grids fast, identity tests
 #: want long expansions.
@@ -19,61 +17,52 @@ CERT_ORDER = 60
 IDENTITY_ORDER = 200
 
 
-def revert(F) -> np.ndarray:
-    """Compressed inverse g with g(f(x)) = x up to the order of f.
+def odd_horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """sum_m coeffs[..., m] x^(2m+1) by Horner in w = x^2.
 
-    ``F`` is a compressed odd series with a nonzero linear coefficient
-    ``F[0]``; the batched kernel runs on the one row.
-    """
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 1 or F.size == 0 or F[0] == 0.0:
-        raise DomainError("reversion requires a nonzero linear coefficient")
-    if not np.all(np.isfinite(F)):
-        raise DomainError("coefficients must be finite")
-    return _kernels.revert_odd_batch(F[None, :])[0]
-
-
-#: coefficients below this fraction of the largest one are treated as the
-#: float-noise floor of upstream arithmetic, not as data for ratio fitting
-_NOISE_REL = 1e-14
-
-
-def tail_fit(g: np.ndarray, K: int):
-    """Geometric tail bound past the truncation order K, as a function of x.
-
-    Fits the per-degree growth ratio from the last up-to-10 significant
-    coefficients (nonzero and above the noise floor) once; the returned
-    function bounds the discarded tail, every degree above K, at x by the
-    geometric sum it implies.  That bound is inf when the fitted ratio times
-    |x| reaches 1, and 0 when there are too few significant coefficients to
-    fit a ratio (the series is then taken to be exact to working precision).
-    """
-    absg = np.abs(g)
-    top = float(np.max(absg))
-    sig = np.flatnonzero(absg >= _NOISE_REL * top)
-    if top == 0.0 or sig.size < 2:
-        return lambda x: 0.0
-    idx = 2 * sig[-10:] + 1  # the degrees
-    vals = absg[sig[-10:]]
-    # per-degree ratio; consecutive significant entries may be degrees apart
-    ratios = (vals[1:] / vals[:-1]) ** (1.0 / np.diff(idx))
-    rho_hat = float(np.max(ratios))
-    c_last, k_last = vals[-1], int(idx[-1])
-
-    def tail(x: float) -> float:
-        r = rho_hat * abs(x)
-        if r >= 1.0:
-            return math.inf
-        # sum_{k > K} |c_last| * rho_hat^(k - k_last) * |x|^k
-        return float(c_last * abs(x) ** k_last * r ** (K + 1 - k_last) / (1.0 - r))
-
-    return tail
-
-
-def evaluate(g: np.ndarray, x: float) -> float:
-    """Horner evaluation at x: bit for bit the dense Horner over the
-    interleaved zero even coefficients."""
+    Broadcasts: grid rows ``coeffs`` of shape (B, M+1) against a scalar or
+    one ``x`` per row, or one coefficient vector against a matrix ``x``
+    (entrywise)."""
+    w = x * x
     acc = 0.0
-    for c in g[::-1]:
-        acc = acc * x * x + c
-    return float(acc * x)
+    for m in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * w + coeffs[..., m]
+    return x * acc
+
+
+class TailFit(NamedTuple):
+    """Per-row geometric tail fit; a row with fewer than two significant
+    entries has ``last`` = ``ratio_w`` = 0, so its tail sums are 0."""
+
+    last: np.ndarray  # the last significant |coefficient|
+    m_last: np.ndarray  # its index m (degree 2m+1)
+    ratio_w: np.ndarray  # the fitted ratio per w = x^2 degree
+
+
+def tail_fit(absG: np.ndarray) -> TailFit:
+    """Fit a geometric tail to every row of ``absG`` (absolute compressed
+    coefficients, shape (B, M+1)).
+
+    Entries below 1e-14 of their row's largest are the float-noise floor of
+    the reversion, not ratio data.  The ratio per w-degree is the largest
+    per-step gap ratio among each row's last <= 10 significant entries."""
+    Mp1 = absG.shape[1]
+    top = np.max(absG, axis=1)
+    thresh = 1e-14 * np.maximum(top, 1e-300)
+    # each row's last <= 10 significant indices, ascending, -1 padding the
+    # left; the smallest index type that holds every difference keeps the
+    # temporaries of a 10^4-row grid small
+    cols = np.arange(Mp1, dtype=np.min_scalar_type(-2 * Mp1))
+    idx = np.where(absG >= thresh[:, None], cols, -1)
+    idx.sort(axis=1)
+    idx = idx[:, -10:]
+    vals = np.take_along_axis(absG, np.maximum(idx, 0), axis=1)
+    gap = idx[:, :-1] >= 0  # both ends of the gap are significant
+    with np.errstate(divide="ignore", invalid="ignore"):  # padded gaps, masked below
+        ratios = vals[:, 1:] / vals[:, :-1]
+        ratios **= 1.0 / np.diff(idx, axis=1)
+    ratios[~gap] = -np.inf
+    fit = gap[:, -1]
+    return TailFit(last=np.where(fit, vals[:, -1], 0.0),
+                   m_last=np.where(fit, idx[:, -1], 0).astype(np.int64),
+                   ratio_w=np.where(fit, np.max(ratios, axis=1), 0.0))

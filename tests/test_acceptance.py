@@ -48,7 +48,7 @@ def test_criterion_01_arcsin_anchor():
     ref_poly = arcsin_taylor_coeffs(K)
     worst = 0.0
     for rho in [-0.99] + [x / 10.0 for x in range(-9, 10)] + [0.99]:
-        val = series.evaluate(s, rho)
+        val = float(series.odd_horner(s, rho))
         ref = float(np.polynomial.polynomial.polyval(rho, ref_poly))
         worst = max(worst, abs(val - ref))
         if abs(rho) <= 0.9:

@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pqnorm.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -87,21 +90,81 @@ class TestBounds:
         assert out == ""
 
     def test_tail_fitted_at_most_twice(self, monkeypatch, capsys):
-        # one fit serves the bisection in compute_c_ab and the reported
-        # tail_bound; refitting at every bisection step made ~200
+        # one row-wise fit per command serves the bisection of every pair
+        # and the reported tail_bound
         from pqnorm import series
 
         fits = []
         fit = series.tail_fit
 
-        def counting(g, K):
-            fits.append(K)
-            return fit(g, K)
+        def counting(absG):
+            fits.append(absG.shape[0])
+            return fit(absG)
 
         monkeypatch.setattr(series, "tail_fit", counting)
-        code, _ = run_main(["bounds", "--p", "4"], capsys)
+        for argv, rows in [(["bounds", "--p", "4"], [1]), (["bounds"], [102])]:
+            fits.clear()
+            code, _ = run_main(argv, capsys)
+            assert code == 0
+            assert fits == rows
+
+    def test_one_reversion_for_the_sweep(self, monkeypatch, capsys):
+        from pqnorm import _kernels
+
+        rows = []
+        revert = _kernels.revert_odd_batch
+
+        def counting(F):
+            rows.append(F.shape[0])
+            return revert(F)
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
+        code, _ = run_main(["bounds"], capsys)
         assert code == 0
-        assert fits == [60]
+        assert rows == [102]  # 101 grid points and the inf row
+
+    def test_first_uncertified_pair_is_exit_3(self, capsys):
+        # p = 2.5 is the first of 2.5, 2.96, 3.5, inf whose tail (5e-6)
+        # exceeds 1e-9; the sweep reports it and prints no row
+        code = main(["bounds", "--p", "2.5:3.5", "--grid", "3", "--tol", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert main(["bounds", "--p", "2.5", "--tol", "1e-9"]) == 3
+        alone = capsys.readouterr()
+        assert captured.err == alone.err and alone.out == ""
+        assert captured.err.startswith("numerical error: tail estimate 5.021e-06 too large")
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("bounds_default.csv", []),
+    ("bounds_p4.csv", ["--p", "4"]),
+    ("bounds_p2-32_grid7_q1.5.csv", ["--p", "2:32", "--grid", "7", "--q", "1.5"]),
+])
+def test_bounds_golden_output(name, argv, capsys):
+    # byte for byte the committed output; an intended change to c_ab or its
+    # tail regenerates the file
+    code, out = run_main(["bounds"] + argv, capsys)
+    assert code == 0
+    assert out == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["bounds"], "--samples"), (["bounds"], "--seed"), (["bounds"], "--in"),
+    (["round"], "--grid"),
+    (["factorize"], "--order"), (["factorize"], "--grid"), (["factorize"], "--samples"),
+    (["factorize"], "--tol"),
+    (["verify", "conditions"], "--in"), (["verify", "conditions"], "--tol"),
+    (["check-conditions"], "--samples"), (["check-conditions"], "--seed"),
+    (["check-conditions"], "--in"), (["check-conditions"], "--tol"),
+    (["certify-defect"], "--samples"), (["certify-defect"], "--seed"),
+    (["certify-defect"], "--in"), (["certify-defect"], "--tol"),
+])
+def test_flag_the_command_does_not_read_is_exit_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag} 1" in captured.err
 
 
 class TestRound:
@@ -246,7 +309,8 @@ class TestFactorize:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        code = main([command, "--in", sign_csv, "--samples", "100"])
+        samples = ["--samples", "100"] if command == "round" else []  # factorize draws none
+        code = main([command, "--in", sign_csv] + samples)
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "numerical error: Eigenvalues did not converge\n"
@@ -306,6 +370,22 @@ class TestVerify:
         assert calls[0] == 25
         assert quad_calls[0] <= 2 * fallback_points[0]
         assert quad_calls[0] <= 100
+
+    def test_contours_revert_once(self, monkeypatch, capsys):
+        # the three inversion-formula pairs share one reversion
+        from pqnorm import _kernels
+
+        rows = []
+        revert = _kernels.revert_odd_batch
+
+        def counting(F):
+            rows.append(F.shape[0])
+            return revert(F)
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
+        code, _ = run_main(["verify", "contours"], capsys)
+        assert code == 0
+        assert rows == [3]
 
 
 class TestConditionsCommands:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pqnorm import _kernels
+from pqnorm.errors import DomainError
 from pqnorm.krivine import f_bar_w_coeffs
 
 
@@ -50,3 +51,23 @@ def test_rejects_bad_input():
         _kernels.revert_odd_batch(np.zeros((2, 5)))
     with pytest.raises(ValueError):
         _kernels.revert_odd_batch(np.ones(5))
+
+
+@pytest.mark.parametrize("K", [31, 60, 61, 100])
+def test_rows_are_independent(K):
+    # the pairs of the default bounds sweep: a row reverts to the same bits
+    # in the batch as alone, which lets bounds revert every pair at once
+    ps = np.geomspace(2.0, 100.0, 101)
+    a = np.append(1.0 / (ps - 1.0), 0.0)  # a = p* - 1 = b on the dual rule
+    F = f_bar_w_coeffs(a, a, (K - 1) // 2)
+    G = _kernels.revert_odd_batch(F)
+    for i in range(0, F.shape[0], 3):
+        assert np.array_equal(_kernels.revert_odd_batch(F[i : i + 1]), G[i : i + 1])
+
+
+def test_rejects_empty_and_non_finite_rows():
+    with pytest.raises(DomainError):
+        _kernels.revert_odd_batch(np.zeros((1, 0)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            _kernels.revert_odd_batch(np.array([[1.0, 0.5], [1.0, bad]]))

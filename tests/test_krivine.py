@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pqnorm.errors import DomainError
+from pqnorm import _kernels
+from pqnorm.errors import CertificationError, DomainError
 from pqnorm.krivine import (
     KRIVINE_RATIO,
     CoeffGrid,
     NormPair,
-    _odd_tail_estimate,
+    _odd_tail,
+    _series_tail,
     approx_ratio,
     bounds_sweep,
     certify_defect,
@@ -18,10 +20,9 @@ from pqnorm.krivine import (
     f_bar_w_coeffs,
     hhat_grid_max,
     inverse_coeff_grid,
-    odd_horner,
     steinberg_ratio,
 )
-from pqnorm.series import evaluate, revert, tail_fit
+from pqnorm.series import odd_horner, tail_fit
 
 ASINH1 = math.asinh(1.0)
 
@@ -51,6 +52,20 @@ class TestNormPair:
             NormPair.from_ab(1.2, 0.0)
         with pytest.raises(DomainError):
             NormPair.from_ab(0.5, -0.1)
+
+
+def revert(F):
+    """One compressed series reverted as a one-row batch."""
+    return _kernels.revert_odd_batch(F[None, :])[0]
+
+
+def evaluate(g, x):
+    return float(odd_horner(g, x))
+
+
+def odd_tail(absG, x):
+    """The odd-degree tail of every row, from the row-wise fit."""
+    return _odd_tail(tail_fit(absG), absG.shape[1] - 1, x)
 
 
 def f_bar(a, b, K):
@@ -93,7 +108,7 @@ class TestComputeC:
         c, g, tail = compute_c_ab(NormPair(p=math.inf, q=1.0), K=60, tol=1e-9)
         assert c == pytest.approx(math.log(1.0 + math.sqrt(2.0)), abs=1e-10)
         h = np.abs(g)
-        assert tail == tail_fit(h, 60)(c)
+        assert tail == _series_tail(tail_fit(h[None, :]), 60)(c)[0]
         assert 1.0 - 1e-9 <= evaluate(h, c) + tail <= 1.0 + 1e-12
 
     def test_a_equal_one(self):
@@ -140,6 +155,11 @@ class TestComputeC:
             compute_c_ab(NormPair.from_ab(0.5, 0.5), K=60, tol=1e-12)
         # the uncertified root is the plain hhat(c) = 1 solution
         assert 0.95 < exc.value.uncertified < 0.96
+
+    def test_benchmark_pairs_pinned(self):
+        # the two exponent pairs of the benchmark, bit for bit
+        assert compute_c_ab(NormPair(p=math.inf, q=1.0))[0] == 0.8813735870195429
+        assert compute_c_ab(NormPair(p=4.0, q=4.0 / 3.0))[0] == 0.9306206617000219
 
     def test_certified_lower_bound_on_grid(self):
         # c_ab >= asinh(1)/1.00863 everywhere on [0, 1]^2
@@ -319,7 +339,7 @@ class TestCoeffGrid:
     def test_vectorised_tail_matches_loop(self, grid21, x):
         absG = np.abs(grid21.G)
         ref = odd_tail_reference(absG, x)
-        got = _odd_tail_estimate(absG, x)
+        got = odd_tail(absG, x)
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         assert np.array_equal(got == 0.0, ref == 0.0)
         # the a = 1 and b = 1 rows have fewer than two significant entries
@@ -339,7 +359,7 @@ class TestCoeffGrid:
         ])
         ref = odd_tail_reference(rows, 0.9)
         assert ref[3] == ref[4] == 0.0 and np.all(ref[:3] > 0)
-        got = _odd_tail_estimate(rows, 0.9)
+        got = odd_tail(rows, 0.9)
         assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
     def test_precomputed_grid_gives_equal_reports(self, grid21):
@@ -388,6 +408,47 @@ class TestCotype:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("q_rule,q_fixed,hi", [("dual", None, 100.0), ("fixed", 1.5, 32.0)])
+    def test_rows_equal_single_pair_solves(self, q_rule, q_fixed, hi):
+        # the default sweep and --q 1.5 on 2:32: one batched solve gives
+        # every row what the one-row solve gives its pair, bit for bit
+        ps = list(np.geomspace(2.0, hi, 101)) + [math.inf]
+        reports = bounds_sweep(ps, q_rule=q_rule, q_fixed=q_fixed)
+        assert [rep.pair.p for rep in reports] == ps
+        for rep in reports:
+            c, g, tail = compute_c_ab(rep.pair)
+            assert rep.c_ab == c and rep.tail_bound == tail
+            assert np.array_equal(rep.inverse, g)
+            assert rep == approx_ratio(rep.pair)
+
+    def test_one_reversion_for_all_pairs(self, monkeypatch):
+        rows = []
+        revert_batch = _kernels.revert_odd_batch
+
+        def counting(F):
+            rows.append(F.shape[0])
+            return revert_batch(F)
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
+        bounds_sweep([2.0, 4.0, 8.0, math.inf])
+        assert rows == [4]
+
+    def test_first_uncertified_pair_raises(self):
+        # at tol 1e-9 the tails of p = 8 (4e-15) pass, those of p = 3
+        # (1.2e-7) and 2.5 (5e-6) do not: the error is p = 3's
+        with pytest.raises(CertificationError) as exc:
+            bounds_sweep([8.0, 3.0, 2.5, 16.0], tol=1e-9)
+        with pytest.raises(CertificationError) as one:
+            compute_c_ab(NormPair(p=3.0, q=1.5), tol=1e-9)
+        assert str(exc.value) == str(one.value)
+        assert "1.209e-07" in str(exc.value)
+        assert exc.value.uncertified == one.value.uncertified
+        assert 0.95 < exc.value.uncertified < 0.96
+
+    def test_empty_sweep(self):
+        assert bounds_sweep([]) == []
+
+
     def test_figure_slice(self):
         ps = [2.0, 4.0, 8.0, 32.0, 64.0, math.inf]
         reports = bounds_sweep(ps, q_rule="dual", K=60)
