@@ -39,26 +39,33 @@ def revert_odd_batch(F):
         raise DomainError("coefficients must be finite")
     B, Mp1 = F.shape
     M = Mp1 - 1
-    R = np.zeros_like(F)
-    R[:, 0] = 1.0 / F[:, 0]
+    # Work arrays are coefficient-major, (M+1, B): row m holds coefficient m
+    # of every series, so each convolution term is one pass over contiguous
+    # length-B rows.  A real copy: F.T of a one-row batch is a view of the
+    # caller's array, and this buffer is reused below.
+    Ft = F.T.copy()
+    R = np.zeros_like(Ft)
+    R[0] = 1.0 / Ft[0]
     for m in range(1, Mp1):
-        R[:, m] = -np.einsum("bj,bj->b", F[:, 1 : m + 1], R[:, m - 1 :: -1]) / F[:, 0]
-    H = np.zeros_like(F)
+        R[m] = -np.einsum("ib,ib->b", Ft[1 : m + 1], R[m - 1 :: -1]) / Ft[0]
+    H = np.zeros_like(Ft)
     for m in range(M):
-        H[:, m + 1] = np.einsum("bj,bj->b", F[:, : m + 1], F[:, m :: -1])
-    G = np.zeros_like(F)
-    G[:, 0] = R[:, 0]
-    acc = np.zeros_like(F)
-    P = H.copy()
+        np.einsum("ib,ib->b", Ft[: m + 1], Ft[m::-1], out=H[m + 1])
+    G = np.empty((B, Mp1))
+    G[:, 0] = R[0]
+    acc = np.zeros_like(Ft)
+    # P holds H^j; newP (the spent F buffer) receives H^(j+1).  Rows below
+    # j+1 of either are never read again, so neither is cleared.
+    P, newP = H.copy(), Ft
     for j in range(1, Mp1):
-        G[:, j] = (R[:, j] - acc[:, j]) / P[:, j]
-        if j + 1 <= M:
-            acc[:, j + 1 :] += G[:, j][:, None] * P[:, j + 1 :]
+        g = (R[j] - acc[j]) / P[j]
+        G[:, j] = g
         if j < M:
-            newP = np.zeros_like(F)
+            # the acc update's product goes into newP's rows still free
+            np.multiply(g, P[j + 1 :], out=newP[j + 1 :])
+            acc[j + 1 :] += newP[j + 1 :]
             for m in range(j + 1, Mp1):
                 # [w^m] H^(j+1) = sum_{i=j..m-1} P[i] * H[m-i]
-                newP[:, m] = np.einsum("bj,bj->b", P[:, j:m], H[:, m - j : 0 : -1])
-            P = newP
+                np.einsum("ib,ib->b", P[j:m], H[m - j : 0 : -1], out=newP[m])
+            P, newP = newP, P
     return G
-

@@ -153,8 +153,10 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     k = np.arange(n, dtype=float)
     s = 2.0 * k + alpha + beta
     # the three-term recurrence: diagonal diag[k], off-diagonal off[k] (off[0] = 0)
-    diag = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+    # diag[0] apart: the general form is 0/0 there when alpha + beta = 0
+    diag = np.empty(n)
     diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
     off = np.zeros(n)
     off[1:] = np.sqrt(4.0 * k[1:] * (k[1:] + alpha) * (k[1:] + beta) * (k[1:] + alpha + beta)
                       / (s[1:] ** 2 * (s[1:] + 1.0) * (s[1:] - 1.0)))

@@ -148,6 +148,20 @@ def test_bounds_golden_output(name, argv, capsys):
     assert out == (DATA / name).read_text()
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("verify_conditions.jsonl", ["verify", "conditions"]),
+    ("check_conditions_grid21.jsonl", ["check-conditions", "--grid", "21"]),
+    ("certify_defect_grid21.jsonl", ["certify-defect", "--grid", "21"]),
+])
+def test_certification_golden_output(name, argv, capsys):
+    # byte for byte the committed output, which pins the grid reversion's
+    # bits end to end; an intended change to the kernel or the conditions
+    # regenerates the file
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    assert out == (DATA / name).read_text()
+
+
 @pytest.mark.parametrize("command,flag", [
     (["bounds"], "--samples"), (["bounds"], "--seed"), (["bounds"], "--in"),
     (["round"], "--grid"),

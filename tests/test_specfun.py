@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -280,6 +281,16 @@ class TestEulerContinuationArray:
             points.clear()
             euler_continuation(z, 0.5, 0.5)
             assert points == [1.0 - 1e-4]
+
+    def test_gauss_jacobi_legendre_case(self):
+        # alpha + beta = 0 makes the recurrence's general diagonal 0/0 at
+        # k = 0; the rule must come out warning-free as Gauss-Legendre
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, w = specfun._gauss_jacobi(20, 0.0, 0.0)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(20)
+        assert np.max(np.abs(x - x_ref)) <= 4e-16
+        assert np.max(np.abs(w - w_ref / 2.0)) <= 2e-15
 
     def test_gauss_jacobi_weights(self):
         # moments int_0^1 (1-t)^{b/2} t^{-(1+b)/2} t^k dt / B((1-b)/2, 1+b/2)
