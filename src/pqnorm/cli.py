@@ -166,9 +166,11 @@ def _suite_conditions(args):
 
 
 def _suite_contours(args):
-    for a in _CONTOUR_LATTICE:
-        for b in _CONTOUR_LATTICE:
-            rep = oracles.contour_magnitude_check(a, b, alpha=6.0, samples=25)
+    # one continuation call per b for every a; lines go out a-major
+    by_b = [oracles.contour_magnitude_check(np.array(_CONTOUR_LATTICE), b, alpha=6.0, samples=25)
+            for b in _CONTOUR_LATTICE]
+    for a, reps in zip(_CONTOUR_LATTICE, zip(*by_b)):
+        for b, rep in zip(_CONTOUR_LATTICE, reps):
             yield _check(f"contour(a={a:g},b={b:g})",
                          rep.min_arc > 1.0 and rep.min_segment > 1.0,
                          min_arc=rep.min_arc, min_segment=rep.min_segment,
@@ -178,9 +180,9 @@ def _suite_contours(args):
     lattice = [(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)]
     pairs = [krivine.NormPair.from_ab(a, b) for a, b in lattice]
     cg = krivine.inverse_coeff_grid(([p.a for p in pairs], [p.b for p in pairs]), 31)
+    ks = (3, 5, 7, 9)
     for (a, b), g in zip(lattice, cg.G):  # one reversion for the three pairs
-        for k in (3, 5, 7, 9):
-            est = oracles.contour_inverse_coeff(a, b, k)
+        for k, est in zip(ks, oracles.contour_inverse_coeff(a, b, ks)):
             ok = abs(est - g[k // 2]) < 1e-6
             yield _check(f"inversion-formula(a={a:g},b={b:g},k={k})", ok,
                          estimate=est, reference=float(g[k // 2]))

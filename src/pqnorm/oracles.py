@@ -181,8 +181,8 @@ def _contour_points(alpha: float, eps: float, samples: int):
     return arc, start + np.linspace(0.0, 1.0, samples) * (end - start)
 
 
-def contour_magnitude_check(a: float, b: float, alpha: float = 6.0,
-                            eps: float = 1e-4, samples: int = 80) -> ContourReport:
+def contour_magnitude_check(a, b: float, alpha: float = 6.0,
+                            eps: float = 1e-4, samples: int = 80):
     """Minimum of |F(z)| over the expanding contour's arc and near-real leg.
 
     The arc runs along |z| = alpha from just above the real axis to the
@@ -191,9 +191,15 @@ def contour_magnitude_check(a: float, b: float, alpha: float = 6.0,
     with no point left is a DomainError, since it would check nothing.  The
     default eps keeps the leg start far enough from the branch point at 1
     for the continuation to hold its accuracy target.
+
+    A scalar ``a`` gives one ContourReport.  A 1-D ``a`` gives a list of
+    reports, one per entry and each equal to its scalar call, from a single
+    continuation call.
     """
-    if alpha < 1.0:
-        raise DomainError("contour radius must be >= 1")
+    if np.ndim(a) > 1:
+        raise DomainError(f"a must be a scalar or 1-D, got {np.ndim(a)} dimensions")
+    if not 1.0 <= alpha < math.inf:
+        raise DomainError(f"contour radius must be finite and >= 1, got {alpha}")
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if samples < 2:
@@ -202,11 +208,15 @@ def contour_magnitude_check(a: float, b: float, alpha: float = 6.0,
     keep = ~_on_excluded_ray(z)
     if not (keep[:samples].any() and keep[samples:].any()):
         raise DomainError(f"every point of a contour leg lies on the excluded rays (eps={eps})")
-    mag = np.full(z.size, math.inf)
-    mag[keep] = np.abs(euler_continuation(z[keep], a, b))
-    return ContourReport(a=a, b=b, alpha=alpha, eps=eps, min_arc=float(mag[:samples].min()),
-                         min_segment=float(mag[samples:].min()),
-                         skipped=int(z.size - keep.sum()))
+    a_col = np.asarray(a, dtype=float).reshape(-1, 1)
+    mag = np.full((a_col.shape[0], z.size), math.inf)
+    mag[:, keep] = np.abs(euler_continuation(z[keep], a_col, b))
+    reports = [ContourReport(a=float(a_i), b=b, alpha=alpha, eps=eps,
+                             min_arc=float(row[:samples].min()),
+                             min_segment=float(row[samples:].min()),
+                             skipped=int(z.size - keep.sum()))
+               for a_i, row in zip(a_col[:, 0], mag)]
+    return reports[0] if np.ndim(a) == 0 else reports
 
 
 def beta_bound_expression(b: float, r: float = 6.0) -> float:
@@ -219,36 +229,51 @@ def beta_bound_expression(b: float, r: float = 6.0) -> float:
             + r ** b * math.sqrt(1.0 - 1.0 / (r * r)) / (1.0 - b)) / beta_norm
 
 
-def contour_inverse_coeff(a: float, b: float, k: int, delta: float = 0.3,
-                          nodes: int = 10_000) -> float:
+def contour_inverse_coeff(a: float, b: float, k, delta: float = 0.3,
+                          nodes: int = 10_000):
     """Inverse-series coefficient by the contour formula
     (2 / (pi k)) Im int_{C+_delta} f(z)^(-k) dz on the quarter circle.
 
-    The integrand grows like delta^(-k), so large k loses precision; the
-    halved-node comparison guards against silent degradation.
+    ``k`` is one odd order >= 1, giving a float, or a sequence of them,
+    giving a list in the same order; a sequence evaluates f once per node
+    count and forms each power f^(-k) from it.  ``a`` and ``b`` lie in
+    [0, 1].  The integrand grows like delta^(-k), so large k loses
+    precision; the halved-node comparison, made for every k, guards against
+    silent degradation.
     """
-    if k % 2 == 0:
-        raise DomainError("the contour formula applies to odd k")
+    ks = [k] if np.ndim(k) == 0 else list(k)
+    if not all(kk >= 1 and kk % 2 == 1 for kk in ks):
+        raise DomainError(f"the contour formula applies to odd k >= 1, got {k}")
     if not 0.0 < delta < 1.0:
         raise DomainError("radius must lie in (0, 1)")
+    if nodes < 4:
+        raise DomainError(f"need nodes >= 4 for the halved-node check, got {nodes}")
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise DomainError(f"exponents must lie in [0, 1], got a={a}, b={b}")
     M = 100
     w = f_bar_w_coeffs(a, b, M)
 
-    def value(npts):
+    def f_on_arc(npts):
         theta = np.linspace(0.0, math.pi / 2.0, npts)
         z = delta * np.exp(1j * theta)
         acc = np.zeros_like(z)
         for cm in w[::-1]:
             acc = acc * z * z + cm
-        fz = z * acc
-        integrand = fz ** (-k) * 1j * z  # dz = i z dtheta
-        return 2.0 / (math.pi * k) * float(np.imag(_trapezoid(integrand, theta)))
+        return theta, z, z * acc
 
-    full = value(nodes)
-    half = value(nodes // 2)
-    if abs(full - half) > max(1e-6 * abs(full), 1e-12):
-        raise AccuracyError(
-            f"contour quadrature unstable at k={k}: {full:.3e} vs {half:.3e}",
-            achieved=full, error_estimate=abs(full - half),
-        )
-    return full
+    def value(arc, kk):
+        theta, z, fz = arc
+        integrand = fz ** (-kk) * 1j * z  # dz = i z dtheta
+        return 2.0 / (math.pi * kk) * float(np.imag(_trapezoid(integrand, theta)))
+
+    arcs = [f_on_arc(nodes), f_on_arc(nodes // 2)]
+    out = []
+    for kk in ks:
+        full, half = (value(arc, kk) for arc in arcs)
+        if abs(full - half) > max(1e-6 * abs(full), 1e-12):
+            raise AccuracyError(
+                f"contour quadrature unstable at k={kk}: {full:.3e} vs {half:.3e}",
+                achieved=full, error_estimate=abs(full - half),
+            )
+        out.append(full)
+    return out[0] if np.ndim(k) == 0 else out

@@ -168,7 +168,7 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     return x, w / w.sum()
 
 
-def _euler_rule(n: int, a: float, b: float):
+def _euler_rule(n: int, b: float):
     """The n-point rule for the normalised Euler integral along the parabola
     t(s) = s (1 + i (1 - s)): the t-values at the nodes and the weights times
     the smooth path factors (1 - i s)^{b/2} (1 + i (1 - s))^{-(1+b)/2}
@@ -212,7 +212,7 @@ def _euler_quad(z: complex, a: float, b: float) -> complex:
     return result
 
 
-def euler_continuation(z, a: float, b: float):
+def euler_continuation(z, a, b: float):
     """Analytic continuation of rho * 2F1((1-a)/2, (1-b)/2; 3/2; rho^2).
 
     Evaluates  B((1-b)/2, 1+b/2)^{-1} * z * int_0^1 (1-t)^{b/2} /
@@ -222,9 +222,12 @@ def euler_continuation(z, a: float, b: float):
     a = 0.2, b = 0.9), where AccuracyError is raised: the quadrature fallback
     cannot meet 1e-8 there.  Complex powers take the principal branch.
 
-    ``z`` is a scalar or an array: a scalar gives a Python complex, an array
-    an ndarray of its shape.  Any point on the excluded rays raises
-    DomainError.
+    ``z`` and ``a`` are scalars or arrays that broadcast against each other;
+    ``b`` is a scalar, because the node rules depend on it alone.  Two
+    scalars give a Python complex, anything else an ndarray of the broadcast
+    shape, and each point's value has the same bits as a scalar call with
+    its own ``z`` and ``a``.  Any non-finite point, any point on the
+    excluded rays and any ``a`` or ``b`` outside [0, 1) raises DomainError.
 
     Method: a 192-node Gauss-Jacobi rule, whose weight absorbs both endpoint
     singularities, along the parabola t(s) = s (1 + i sigma (1-s)) with
@@ -233,34 +236,42 @@ def euler_continuation(z, a: float, b: float):
     side of [0, 1], so by Cauchy's theorem the value is unchanged.  A point
     is accepted when the 192- and 96-node values agree to 1e-9 relative;
     every other point (in practice z next to +-1, where 1/z^2 sits just past
-    t = 1) falls back to adaptive ``scipy.integrate.quad``, which raises
-    AccuracyError when its own error estimate misses the target.  Each call
-    builds its node rules (a few ms), so pass many points as one array.
+    t = 1) falls back to adaptive ``scipy.integrate.quad`` at its own ``a``,
+    which raises AccuracyError when its own error estimate misses the
+    target.  Each call builds its node rules (a few ms), so pass many points
+    and exponents as one array.
     """
-    if not (0 <= a < 1 and 0 <= b < 1):
-        raise DomainError(f"exponents must lie in [0,1), got a={a}, b={b}")
-    scalar = np.ndim(z) == 0
-    z = np.asarray(z, dtype=complex)
+    if np.ndim(b) != 0 or not 0 <= b < 1:
+        raise DomainError(f"exponent b must be a scalar in [0,1), got b={b}")
+    scalar = np.ndim(z) == 0 and np.ndim(a) == 0
+    z, a = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(a, dtype=float))
+    bad_a = ~((a >= 0) & (a < 1))
+    if bad_a.any():
+        raise DomainError(f"exponent a must lie in [0,1), got a={a[bad_a].flat[0]}")
+    bad_z = ~np.isfinite(z)
+    if bad_z.any():
+        raise DomainError(f"z={z[bad_z].flat[0]} is not finite")
     on_ray = _on_excluded_ray(z)
     if on_ray.any():
         raise DomainError(f"z={z[on_ray].flat[0]} lies on the excluded real rays |Re z| >= 1")
-    flat = z.ravel()
+    flat, a_flat = z.ravel(), a.ravel()
+    power = -(1.0 - a_flat) / 2.0
     out = np.zeros_like(flat)
     todo = np.flatnonzero(flat)
     if todo.size:
-        rules = [_euler_rule(n, a, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
+        rules = [_euler_rule(n, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
         for lo in range(0, todo.size, _GJ_BLOCK):
             idx = todo[lo:lo + _GJ_BLOCK]
             z2 = flat[idx] ** 2
             flip = z2.imag < 0  # sigma = -1: integrate at conj(z^2), conjugate back
             z2[flip] = z2[flip].conjugate()
-            full, half = (((1.0 - z2[:, None] * t) ** (-(1.0 - a) / 2.0) * hw).sum(axis=1)
+            full, half = (((1.0 - z2[:, None] * t) ** power[idx, None] * hw).sum(axis=1)
                           for t, hw in rules)
             ok = np.abs(full - half) <= 1e-9 * np.abs(full)
             full[flip] = full[flip].conjugate()
             out[idx[ok]] = flat[idx[ok]] * full[ok]
             for i in idx[~ok]:
-                out[i] = _euler_quad(complex(flat[i]), a, b)
+                out[i] = _euler_quad(complex(flat[i]), float(a_flat[i]), b)
     if scalar:
         return complex(out[0])
     return out.reshape(z.shape)

@@ -152,11 +152,12 @@ def test_bounds_golden_output(name, argv, capsys):
     ("verify_conditions.jsonl", ["verify", "conditions"]),
     ("check_conditions_grid21.jsonl", ["check-conditions", "--grid", "21"]),
     ("certify_defect_grid21.jsonl", ["certify-defect", "--grid", "21"]),
+    ("verify_contours.jsonl", ["verify", "contours"]),
 ])
 def test_certification_golden_output(name, argv, capsys):
     # byte for byte the committed output, which pins the grid reversion's
-    # bits end to end; an intended change to the kernel or the conditions
-    # regenerates the file
+    # and the contour continuation's bits end to end; an intended change to
+    # the kernel, the conditions or the continuation regenerates the file
     code, out = run_main(argv, capsys)
     assert code == 0
     assert out == (DATA / name).read_text()
@@ -353,35 +354,37 @@ class TestVerify:
         code, _ = run_main(["verify", "conditions", "--grid", "5", "--order", "0"], capsys)
         assert code == 2
 
-    def test_contours_make_one_continuation_call_per_pair(self, monkeypatch, capsys):
-        # 25 (a, b) pairs of 50 contour points; only points next to the branch
-        # point fall back to quad, two calls each (real and imaginary part)
+    def test_contours_make_one_continuation_call_per_b(self, monkeypatch, capsys):
+        # 25 (a, b) pairs of 50 contour points: one continuation call per b
+        # covers all five a, and builds its two node rules once; only points
+        # next to the branch point fall back to quad, two calls each (real
+        # and imaginary part).  The three inversion-formula pairs evaluate
+        # their correlation series once each, for all four k.
         from scipy import integrate
 
         from pqnorm import oracles, specfun
 
-        calls, fallback_points, quad_calls = [0], [0], [0]
-        cont, fallback, quad = (oracles.euler_continuation, specfun._euler_quad,
-                                integrate.quad)
+        calls, rules, series, fallback_points, quad_calls = [0], [0], [0], [0], [0]
 
-        def counting_cont(*a):
-            calls[0] += 1
-            return cont(*a)
+        def count(owner, name, counter):
+            fn = getattr(owner, name)
 
-        def counting_fallback(*a):
-            fallback_points[0] += 1
-            return fallback(*a)
+            def wrapper(*a, **k):
+                counter[0] += 1
+                return fn(*a, **k)
 
-        def counting_quad(*a, **k):
-            quad_calls[0] += 1
-            return quad(*a, **k)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        monkeypatch.setattr(oracles, "euler_continuation", counting_cont)
-        monkeypatch.setattr(specfun, "_euler_quad", counting_fallback)
-        monkeypatch.setattr(integrate, "quad", counting_quad)
+        count(oracles, "euler_continuation", calls)
+        count(specfun, "_gauss_jacobi", rules)
+        count(oracles, "f_bar_w_coeffs", series)
+        count(specfun, "_euler_quad", fallback_points)
+        count(integrate, "quad", quad_calls)
         code, out = run_main(["verify", "contours"], capsys)
         assert code == 0 and len(out.splitlines()) == 38
-        assert calls[0] == 25
+        assert calls[0] == 5
+        assert rules[0] == 10
+        assert series[0] == 3
         assert quad_calls[0] <= 2 * fallback_points[0]
         assert quad_calls[0] <= 100
 

@@ -124,6 +124,34 @@ class TestContourMagnitude:
         with pytest.raises(DomainError):
             contour_magnitude_check(0.1, 0.1, alpha=0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_radius_is_a_domain_error(self, alpha):
+        # used to report nan minima with RuntimeWarnings
+        with pytest.raises(DomainError, match="radius"):
+            contour_magnitude_check(0.1, 0.1, alpha=alpha)
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.95])
+    def test_array_a_matches_scalar_calls(self, b):
+        a = [0.0, 0.25, 0.5, 0.75, 0.95]
+        reports = contour_magnitude_check(np.array(a), b, alpha=6.0, samples=25)
+        assert isinstance(reports, list) and len(reports) == len(a)
+        for a_i, rep in zip(a, reports):
+            assert rep == contour_magnitude_check(a_i, b, alpha=6.0, samples=25)
+
+    def test_array_a_with_skipped_points(self):
+        reports = contour_magnitude_check(np.array([0.3, 0.6]), 0.3, eps=1e-24, samples=10)
+        assert [r.skipped for r in reports] == [2, 2]
+        assert reports[1] == contour_magnitude_check(0.6, 0.3, eps=1e-24, samples=10)
+
+    @pytest.mark.parametrize("bad", [1.0, -0.5, math.nan])
+    def test_array_a_with_one_bad_entry_raises(self, bad):
+        with pytest.raises(DomainError):
+            contour_magnitude_check(np.array([0.2, bad, 0.4]), 0.3, samples=10)
+
+    def test_two_dimensional_a_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="1-D"):
+            contour_magnitude_check(np.zeros((2, 2)), 0.3, samples=10)
+
     @pytest.mark.parametrize("samples", [0, 1])
     def test_too_few_samples_is_a_domain_error(self, samples):
         # samples = 0 used to report min_arc = min_segment = inf, read as a pass
@@ -181,3 +209,37 @@ class TestContourInverseCoeff:
     def test_odd_only(self):
         with pytest.raises(DomainError):
             contour_inverse_coeff(0.2, 0.2, 4)
+        with pytest.raises(DomainError):
+            contour_inverse_coeff(0.2, 0.2, (3, 4, 5))
+
+    @pytest.mark.parametrize("k", [-1, -3, 2.5, math.nan])
+    def test_k_below_one_or_not_odd_is_a_domain_error(self, k):
+        # k = -1 used to return -4.4e-18
+        with pytest.raises(DomainError, match="odd k"):
+            contour_inverse_coeff(0.2, 0.2, k)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3])
+    def test_too_few_nodes_is_a_domain_error(self, nodes):
+        # nodes = 1 used to return 0.0: the halved check compared two zeros
+        with pytest.raises(DomainError, match="nodes"):
+            contour_inverse_coeff(0.2, 0.2, 3, nodes=nodes)
+
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.2), (1.5, 0.2), (-0.1, 0.2), (0.2, math.nan),
+                                     (0.2, 1.5), (math.inf, 0.2)])
+    def test_exponents_outside_unit_interval_are_a_domain_error(self, a, b):
+        # a = nan or 1.5 used to return nan or 0.067
+        with pytest.raises(DomainError, match="exponents"):
+            contour_inverse_coeff(a, b, 3)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)])
+    def test_sequence_of_k_matches_scalar_calls(self, a, b):
+        ks = (3, 5, 7, 9)
+        est = contour_inverse_coeff(a, b, ks)
+        assert isinstance(est, list) and len(est) == len(ks)
+        for k, e in zip(ks, est):
+            assert e == contour_inverse_coeff(a, b, k)
+        assert contour_inverse_coeff(a, b, [7]) == [contour_inverse_coeff(a, b, 7)]
+
+    def test_instability_detected_for_any_k_of_a_sequence(self):
+        with pytest.raises(AccuracyError, match="k=15"):
+            contour_inverse_coeff(0.0, 0.0, (3, 15))

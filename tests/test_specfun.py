@@ -215,6 +215,15 @@ class TestEulerContinuation:
         with pytest.raises(DomainError):
             euler_continuation(0.5j, 0.0, -0.1)
 
+    @pytest.mark.parametrize("z", [math.nan, complex(0.5, math.nan), complex(math.inf, 1.0),
+                                   complex(0.0, math.inf)])
+    def test_non_finite_z_is_domain_error(self, z):
+        # z = nan used to return nan+nanj
+        with pytest.raises(DomainError, match="not finite"):
+            euler_continuation(z, 0.2, 0.2)
+        with pytest.raises(DomainError, match="not finite"):
+            euler_continuation(np.array([0.5j, z]), 0.2, 0.2)
+
 
 def hyp2f1_reference(z, a, b):
     """z * 2F1((1-a)/2, (1-b)/2; 3/2; z^2) in mpmath, principal branch."""
@@ -246,6 +255,35 @@ class TestEulerContinuationArray:
         val = euler_continuation(self.CONTOUR, a, b)
         assert all(v == euler_continuation(z, a, b) for z, v in zip(self.CONTOUR, val))
         assert type(euler_continuation(self.CONTOUR[3], a, b)) is complex
+
+    @pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 0.75, 0.95])
+    def test_batched_exponents_match_scalar_exponent_calls(self, b):
+        # bit for bit, including z = 1 - 1e-4, which goes through the quad
+        # fallback at its own a
+        a = np.array([0.0, 0.25, 0.5, 0.75, 0.95, 0.2, 0.999])
+        val = euler_continuation(self.CONTOUR[None, :], a[:, None], b)
+        assert val.shape == (a.size, self.CONTOUR.size)
+        for a_i, row in zip(a, val):
+            assert row.tobytes() == euler_continuation(self.CONTOUR, float(a_i), b).tobytes()
+
+    def test_exponent_array_shapes(self):
+        # a scalar z and a scalar a give a Python complex; an array of either
+        # gives the broadcast shape
+        assert type(euler_continuation(0.5j, np.float64(0.3), 0.2)) is complex
+        val = euler_continuation(0.5j, np.array([0.3, 0.6]), 0.2)
+        assert val.shape == (2,)
+        assert val[1] == euler_continuation(0.5j, 0.6, 0.2)
+        assert euler_continuation(np.array([0.5j, 0.0]), np.array([[0.3], [0.6]]), 0.2).shape == (2, 2)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, math.inf])
+    def test_exponent_array_with_one_bad_entry_raises(self, bad):
+        with pytest.raises(DomainError, match="exponent a"):
+            euler_continuation(self.CONTOUR[None, :], np.array([[0.0], [bad], [0.5]]), 0.3)
+
+    def test_array_b_is_a_domain_error(self):
+        # the node rules depend on b alone, so b stays one scalar per call
+        with pytest.raises(DomainError, match="exponent b"):
+            euler_continuation(0.5j, 0.2, np.array([0.2, 0.3]))
 
     def test_shape_and_exact_zero(self):
         z = np.array([[0.0, 0.5j, -0.3 + 0.2j], [2.0 + 1.0j, 0.0, 0.1]])
