@@ -102,7 +102,7 @@ def cmd_round(args) -> int:
 def cmd_factorize(args) -> int:
     inst = _load_instance(args)
     primal = relaxation.solve_cp(inst, seed=args.seed)
-    dual = factorization.solve_dual(inst, primal=primal, seed=args.seed)
+    dual = factorization.solve_dual(inst, primal=primal)
     cert = factorization.build_certificate(inst, dual.s, dual.t)
     _emit([_dumps({
         "s": list(cert.s),

@@ -3,13 +3,12 @@ Hilbert space it certifies: A = D1 B D2 with ||B||_{2->2} <= 1."""
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .krivine import NormPair
-from .relaxation import ProblemInstance, RelaxationSolution, lp_norm, solve_cp
+from .relaxation import ProblemInstance, RelaxationSolution, lp_norm
 
 
 def _dual_exponent(r: float) -> float:
@@ -98,8 +97,8 @@ def _cs_weights(A: np.ndarray, U: np.ndarray, V: np.ndarray):
     return s, t, lam
 
 
-def solve_dual(inst: ProblemInstance, tol: float = 1e-9,
-               primal: Optional[RelaxationSolution] = None, seed: int = 0) -> DualSolution:
+def solve_dual(inst: ProblemInstance, primal: RelaxationSolution,
+               tol: float = 1e-9) -> DualSolution:
     """Feasible weights (s, t) for the dual block-PSD program.
 
     The weights are the repaired complementary-slackness point of the primal
@@ -108,11 +107,6 @@ def solve_dual(inst: ProblemInstance, tol: float = 1e-9,
     and the value are scaled back (feasibility is invariant under scaling A,
     s and t together), so any finite scale works.
     """
-    m, n = inst.shape
-    if max(m, n) > 200:
-        raise DomainError("dense eigensolves support instances up to 200x200")
-    if primal is None:
-        primal = solve_cp(inst, seed=seed)
     amax = float(np.max(np.abs(inst.A))) or 1.0
     s, t, lam = _cs_weights(inst.A / amax, primal.U, primal.V)
     if lam < -tol:

@@ -55,13 +55,9 @@ def lp_norm(x: np.ndarray, r: float) -> float:
 
 
 def unit_rows(W: np.ndarray):
-    """W scaled to unit length along its last axis, and those lengths.
-
-    Works on a single (rows, d) matrix and on stacks such as (rows, R, d);
-    zero rows stay zero.
-    """
-    norms = np.linalg.norm(W, axis=-1)
-    return W / np.where(norms > 0, norms, 1.0)[..., None], norms
+    """The rows of W scaled to unit length, and those lengths; zero rows stay zero."""
+    norms = np.linalg.norm(W, axis=1)
+    return W / np.where(norms > 0, norms, 1.0)[:, None], norms
 
 
 def _holder_rows(Z: np.ndarray, r: float, e: float = 0.0):
@@ -100,20 +96,19 @@ def holder_dual(z: np.ndarray, r: float) -> np.ndarray:
 def _block_update(W: np.ndarray, r_constraint: float, r_value: float):
     """Maximize sum_i <x^i, w^i> over sum_i ||x^i||^r_constraint <= 1.
 
-    W is a (rows, R, d) stack of R independent problems, one per restart.
-    The optimum aligns x^i with w^i and distributes lengths by Holder
-    duality; the achieved objective, one per problem, is the r_value-norm of
+    W is a (rows, d) block.  The optimum aligns x^i with w^i and distributes
+    lengths by Holder duality; the achieved objective is the r_value-norm of
     the row norms (1/r_constraint + 1/r_value = 1).  For r_constraint = inf
     every row saturates length 1.
     """
     Wn, norms = unit_rows(W)
     if math.isinf(r_constraint):
-        return Wn, np.sum(norms, axis=0)
-    total = np.sum(norms ** r_value, axis=0)
-    live = total > 0.0
-    safe = np.where(live, total, 1.0)
-    lam = np.where(live, norms ** (r_value - 1.0) / safe ** (1.0 / r_constraint), 0.0)
-    return lam[..., None] * Wn, total ** (1.0 / r_value)
+        return Wn, float(np.sum(norms))
+    total = float(np.sum(norms ** r_value))
+    if total == 0.0:
+        return np.zeros_like(W), 0.0
+    lam = norms ** (r_value - 1.0) / total ** (1.0 / r_constraint)
+    return lam[:, None] * Wn, total ** (1.0 / r_value)
 
 
 def _initial_V(rng, n: int, d: int, p: float) -> np.ndarray:
@@ -123,38 +118,33 @@ def _initial_V(rng, n: int, d: int, p: float) -> np.ndarray:
     return Vn if math.isinf(p) else V / lp_norm(norms, p)
 
 
-def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 4,
+def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
              max_iters: int = 10_000, tol: float = 1e-12, seed: int = 0) -> RelaxationSolution:
     """Alternating maximization of <A, U V^T> under the row-norm power
     constraints sum ||u^i||^{q*} <= 1 and sum ||v^j||^p <= 1.
 
     One sweep runs the two exact Holder-dual block updates, A W -> U and
     then A^T U -> V.  Each iteration sweeps from the extrapolated point
-    W = 2 V - V_prev (beta = 1); a restart whose objective falls below its
-    last one redoes the iteration as a plain sweep from V, which cannot lose
+    W = 2 V - V_prev (beta = 1); an iteration whose objective falls below
+    the last one is redone as a plain sweep from V, which cannot lose
     objective (O'Donoghue & Candes 2015, restart on decrease).  So the
     objective is nondecreasing along iterations; ``fallbacks`` counts the
-    winner's redone steps.  The relaxation is convex for
-    p, q* >= 2, so it has an optimal solution of rank about sqrt(2(m+n)),
-    and a Burer-Monteiro factorization of that rank reaches the optimum: d
-    defaults to min(m+n, ceil(sqrt(2(m+n))) + 1).
+    redone steps.  The solver stops once the objective stalls (gain below
+    tol relative).
 
-    Restart r starts from the seed stream SeedSequence(seed, spawn_key=(r,)).
-    All restarts still running are stacked, so each half-step A W and A^T U
-    is one matrix product over the stack (the redone sweeps are one more,
-    over the restarts that fell); a restart is frozen once its
-    objective stalls (gain below tol relative), and the best one is
-    returned, with the iterations, convergence flag and objective trace of
-    that restart.  A is divided by max |A_ij| for the solve and the value
-    and trace are scaled back, so any finite scale works; U and V do not
-    depend on the scale.
+    The relaxation is convex for p, q* >= 2, so it has an optimal solution
+    of rank about sqrt(2(m+n)), and at that rank the second-order points of
+    the Burer-Monteiro factorization are global for generic A (Boumal,
+    Voroninski & Bandeira 2016): d defaults to
+    min(m+n, ceil(sqrt(2(m+n))) + 1) and one start suffices.  It is drawn
+    from the seed stream SeedSequence(seed, spawn_key=(0,)).  A is divided
+    by max |A_ij| for the solve and the value and trace are scaled back, so
+    any finite scale works; U and V do not depend on the scale.
     """
     m, n = inst.shape
     p, qs = inst.pair.p, inst.pair.q_star
     q = inst.pair.q
     ps = inst.pair.p_star
-    if restarts < 1:
-        raise DomainError(f"restart count must be at least 1, got {restarts}")
     if d is None:
         d = min(m + n, math.ceil(math.sqrt(2 * (m + n))) + 1)
     scale = float(np.max(np.abs(inst.A)))
@@ -163,66 +153,42 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None, restarts: int = 4,
                                   converged=True, iterations=0,
                                   objective_trace=np.zeros(1))
     A = inst.A / scale
-    # stacks are (rows, restart, d), so a stack is one (rows, R*d) matrix
-    V = np.stack([_initial_V(np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(r,))), n, d, p)
-        for r in range(restarts)], axis=1)
-    fallbacks = np.zeros(restarts, dtype=int)
+    V = _initial_V(np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,))),
+                   n, d, p)
 
     def sweep(W):
-        # the two exact block updates A W -> U, then A^T U -> V, on a (n, k, d) stack
-        k = W.shape[1]
-        U, obj_u = _block_update((A @ W.reshape(n, k * d)).reshape(m, k, d), qs, q)
-        V, obj = _block_update((A.T @ U.reshape(m, k * d)).reshape(n, k, d), p, ps)
+        # the two exact block updates A W -> U, then A^T U -> V
+        U, obj_u = _block_update(A @ W, qs, q)
+        V, obj = _block_update(A.T @ U, p, ps)
         return U, V, obj_u, obj
 
-    U, V_prev = np.zeros((m, restarts, d)), V
-    active = np.arange(restarts)
-    traces = [[] for _ in range(restarts)]
-    final = [None] * restarts
-    obj_prev = np.full(restarts, -math.inf)
+    U, V_prev = np.zeros((m, d)), V
+    trace = []
+    fallbacks = 0
+    converged = False
+    obj_prev = -math.inf
     for it in range(max_iters):
         U, V_new, obj_u, obj = sweep(2.0 * V - V_prev)
-        fell = obj < obj_prev
-        if fell.any():
-            U[:, fell], V_new[:, fell], obj_u[fell], obj[fell] = sweep(V[:, fell])
-            fallbacks[active[fell]] += 1
+        if obj < obj_prev:
+            U, V_new, obj_u, obj = sweep(V)
+            fallbacks += 1
         V_prev, V = V, V_new
-        bad = ~(np.isfinite(obj_u) & np.isfinite(obj))
-        if bad.any():
-            k = int(np.argmax(bad))
+        if not (math.isfinite(obj_u) and math.isfinite(obj)):
             raise NumericalError("non-finite objective in alternating solver",
-                                 dump={"U": U[:, k], "V": V[:, k], "iteration": it,
-                                       "restart": int(active[k])})
-        size = np.maximum(1.0, np.abs(obj))
-        fell = obj < obj_prev - 1e-9 * size
-        if fell.any():
-            k = int(np.argmax(fell))
+                                 dump={"U": U, "V": V, "iteration": it})
+        size = max(1.0, abs(obj))
+        if obj < obj_prev - 1e-9 * size:
             raise NumericalError("objective decreased across a block update",
-                                 dump={"U": U[:, k], "V": V[:, k], "iteration": it,
-                                       "restart": int(active[k])})
-        for r, o in zip(active, obj):
-            traces[r].append(o)
-        stalled = obj - obj_prev < tol * size
-        for k in np.flatnonzero(stalled):
-            final[active[k]] = (U[:, k], V[:, k], True)
-        keep = ~stalled
-        if not keep.any():
+                                 dump={"U": U, "V": V, "iteration": it})
+        trace.append(obj)
+        if obj - obj_prev < tol * size:
+            converged = True
             break
-        active, U, V, V_prev, obj_prev = (active[keep], U[:, keep], V[:, keep],
-                                          V_prev[:, keep], obj[keep])
-    else:
-        for k, r in enumerate(active):
-            final[r] = (U[:, k], V[:, k], False)
-    best = None
-    for (Ur, Vr, converged), trace, fb in zip(final, traces, fallbacks):
-        value = float(np.sum(A * (Ur @ Vr.T))) * scale
-        if best is None or value > best.value:
-            best = RelaxationSolution(U=np.ascontiguousarray(Ur), V=np.ascontiguousarray(Vr),
-                                      value=value, converged=converged,
-                                      iterations=len(trace), fallbacks=int(fb),
-                                      objective_trace=np.asarray(trace) * scale)
-    return best
+        obj_prev = obj
+    return RelaxationSolution(U=U, V=V, value=float(np.sum(A * (U @ V.T))) * scale,
+                              converged=converged, iterations=len(trace),
+                              fallbacks=fallbacks,
+                              objective_trace=np.asarray(trace) * scale)
 
 
 def holder_ascent(A: np.ndarray, pair: NormPair, x0: np.ndarray,

@@ -10,7 +10,6 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair
 from .relaxation import ProblemInstance, RelaxationSolution, _holder_rows, unit_rows
-from .relaxation import holder_dual  # noqa: F401  (kept importable from here)
 from .series import odd_horner
 from .specfun import gaussian_moment_pow
 

@@ -137,7 +137,7 @@ def test_criterion_08_rounding_sandwich():
     for pair in pairs:
         for k, A in enumerate(mats):
             inst = ProblemInstance(A, pair)
-            sol = solve_cp(inst, restarts=8, seed=k)
+            sol = solve_cp(inst, seed=k)
             bf = brute_force_norm(inst, seed=k)
             assert sol.value >= bf - 1e-6, (pair.p, k)
             rep = reports[id(pair)]
@@ -158,7 +158,7 @@ def test_criterion_09_numerator_identity():
         for rep in range(3):
             A = rng.standard_normal((5, 4))
             inst = ProblemInstance(A, pair)
-            sol = solve_cp(inst, restarts=8, seed=rep)
+            sol = solve_cp(inst, seed=rep)
             c, g, _ = compute_c_ab(pair, K=60)
             tg = build_transformed_gram(sol, pair, c, g)
             stats = rounding_identity_stats(inst, tg, sol, num_samples=10**5,

@@ -310,6 +310,16 @@ class TestFactorize:
         assert code == 0
         assert calls[0] <= 2
 
+    def test_more_than_200_rows(self, tmp_path, capsys):
+        # the dense eigensolves have no size cap; 201 rows used to exit 2
+        import numpy as np
+
+        path = tmp_path / "tall.csv"
+        np.savetxt(path, np.random.default_rng(201).standard_normal((201, 3)), delimiter=",")
+        code, out = run_main(["factorize", "--in", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["spectral_norm_B"] <= 1.0 + 1e-9
+
     def test_invalid_pair(self, eye_json, capsys):
         code, _ = run_main(["factorize", "--in", eye_json, "--p", "1.5", "--q", "1"], capsys)
         assert code == 2

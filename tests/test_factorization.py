@@ -12,7 +12,7 @@ from pqnorm.relaxation import ProblemInstance, brute_force_norm, lp_norm, solve_
 class TestSolveDual:
     def test_identity_spectral(self):
         inst = ProblemInstance(np.eye(2), NormPair(2.0, 2.0))
-        dual = solve_dual(inst)
+        dual = solve_dual(inst, solve_cp(inst))
         assert dual.value == pytest.approx(1.0, abs=1e-7)
         assert dual.min_eigenvalue >= -1e-9
         # weights proportional to (1, 1): the PSD block [[D_s, -I], [-I, D_t]]
@@ -23,13 +23,14 @@ class TestSolveDual:
         u, v = rng.standard_normal(4), rng.standard_normal(3)
         pair = NormPair(4.0, 4.0 / 3.0)
         inst = ProblemInstance(np.outer(u, v), pair)
-        dual = solve_dual(inst)
+        dual = solve_dual(inst, solve_cp(inst))
         ref = lp_norm(u, pair.q) * lp_norm(v, pair.p_star)
         assert dual.value == pytest.approx(ref, rel=1e-6)
 
     def test_zero_row_gets_zero_weight(self):
         A = np.array([[0.0, 0.0], [1.0, 2.0]])
-        dual = solve_dual(ProblemInstance(A, NormPair(math.inf, 1.0)))
+        inst = ProblemInstance(A, NormPair(math.inf, 1.0))
+        dual = solve_dual(inst, solve_cp(inst))
         assert dual.s[0] == 0.0
         assert dual.min_eigenvalue >= -1e-9
 
@@ -116,7 +117,7 @@ def test_sandwich_family(shape, pair):
 class TestCertificate:
     def test_identity(self):
         inst = ProblemInstance(np.eye(2), NormPair(2.0, 2.0))
-        dual = solve_dual(inst)
+        dual = solve_dual(inst, solve_cp(inst))
         cert = build_certificate(inst, dual.s, dual.t)
         assert cert.spectral_norm_B <= 1.0 + 1e-6
         assert cert.reconstruction_error < 1e-10
@@ -125,7 +126,7 @@ class TestCertificate:
     def test_diagonal_grothendieck(self):
         d = np.array([1.5, -0.5, 2.0])
         inst = ProblemInstance(np.diag(d), NormPair(math.inf, 1.0))
-        dual = solve_dual(inst)
+        dual = solve_dual(inst, solve_cp(inst))
         cert = build_certificate(inst, dual.s, dual.t)
         # ||A||_{inf->1} = sum |d_i|; the certificate is tight here
         assert cert.norm_product == pytest.approx(np.sum(np.abs(d)), rel=1e-6)
@@ -140,7 +141,7 @@ class TestCertificate:
         for seed in range(3):
             A = rng.standard_normal((6, 5))
             inst = ProblemInstance(A, NormPair(4.0, 4.0 / 3.0))
-            dual = solve_dual(inst, seed=seed)
+            dual = solve_dual(inst, solve_cp(inst, seed=seed))
             cert = build_certificate(inst, dual.s, dual.t)
             assert cert.reconstruction_error < 1e-8
             assert cert.spectral_norm_B <= 1.0 + 1e-6
@@ -154,11 +155,13 @@ class TestCertificate:
         rng = np.random.default_rng(15)
         A = rng.standard_normal((4, 4))
         pair = NormPair(4.0, 4.0 / 3.0)
-        d1 = solve_dual(ProblemInstance(A, pair))
+        inst1 = ProblemInstance(A, pair)
+        d1 = solve_dual(inst1, solve_cp(inst1))
         lam = 3.7
-        d2 = solve_dual(ProblemInstance(lam * A, pair))
+        inst2 = ProblemInstance(lam * A, pair)
+        d2 = solve_dual(inst2, solve_cp(inst2))
         assert d2.value == pytest.approx(lam * d1.value, rel=1e-5)
-        c2 = build_certificate(ProblemInstance(lam * A, pair), d2.s, d2.t)
+        c2 = build_certificate(inst2, d2.s, d2.t)
         assert c2.spectral_norm_B <= 1.0 + 1e-6
 
     def test_infeasible_weights_rejected(self):
@@ -175,3 +178,28 @@ class TestCertificate:
         assert _min_eig_scaled(A, np.array([0.0, 1.0]), np.array([1.0, 1.0])) == -math.inf
         # s_i = t_i = 1 puts the diagonal blocks exactly at the boundary
         assert _min_eig_scaled(A, np.array([2.0, 1.0]), np.array([1.0, 1.0])) >= 0.0
+
+
+GAP_SHAPES = {
+    "gaussian": lambda rng: rng.standard_normal((40, 40)),
+    "rank-1": lambda rng: np.outer(rng.standard_normal(40), rng.standard_normal(40)),
+    "sparse": lambda rng: rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.1),
+    "nonnegative": lambda rng: rng.random((40, 40)),
+    "wide": lambda rng: rng.standard_normal((20, 120)),
+}
+
+
+@pytest.mark.parametrize("shape", list(GAP_SHAPES))
+@pytest.mark.parametrize("pair", [NormPair(math.inf, 1.0), NormPair(4.0, 4.0 / 3.0),
+                                  NormPair(3.0, 1.5), NormPair(2.0, 2.0),
+                                  NormPair(math.inf, 1.5)],
+                         ids=["inf-1", "4-4_3", "3-1.5", "2-2", "inf-1.5"])
+def test_one_start_closes_the_gap(shape, pair):
+    # one start of solve_cp reaches the relaxation's optimum: the repaired CS
+    # dual is within the 1e-4 gap that verify factorization accepts
+    for seed in range(6):
+        inst = ProblemInstance(GAP_SHAPES[shape](np.random.default_rng([seed, 7])), pair)
+        primal = solve_cp(inst, seed=seed)
+        dual = solve_dual(inst, primal=primal)
+        assert primal.value <= dual.value * (1.0 + 1e-12), seed
+        assert dual.value - primal.value <= 1e-4 * dual.value, seed

@@ -10,13 +10,13 @@ from pqnorm.relaxation import (
     ProblemInstance,
     _holder_rows,
     brute_force_norm,
+    holder_dual,
     lp_norm,
     solve_cp,
 )
 from pqnorm.rounding import (
     _CHUNK,
     build_transformed_gram,
-    holder_dual,
     rounding_identity_stats,
     sample_round,
 )
@@ -24,9 +24,9 @@ from pqnorm.rounding import (
 ASINH1 = math.asinh(1.0)
 
 
-def pipeline(A, p, q, K=60, restarts=8, seed=0):
+def pipeline(A, p, q, K=60, seed=0):
     inst = ProblemInstance(A, NormPair(p, q))
-    sol = solve_cp(inst, restarts=restarts, seed=seed)
+    sol = solve_cp(inst, seed=seed)
     c, g, _ = compute_c_ab(inst.pair, K=K)
     tg = build_transformed_gram(sol, inst.pair, c, g)
     return inst, sol, c, tg
@@ -180,7 +180,7 @@ PAIRS = [(math.inf, 1.0), (4.0, 4.0 / 3.0), (2.0, 2.0), (3.0, 1.5), (2.0, 1.0), 
 @pytest.fixture(scope="module", params=PAIRS, ids=lambda pq: f"{pq[0]}-{pq[1]:.3g}")
 def rounded_pipeline(request):
     p, q = request.param
-    return pipeline(np.random.default_rng(61).standard_normal((7, 5)), p, q, restarts=4)
+    return pipeline(np.random.default_rng(61).standard_normal((7, 5)), p, q)
 
 
 class TestBlockedSampling:
@@ -201,7 +201,7 @@ class TestBlockedSampling:
 
     def test_memory_does_not_grow_with_samples(self):
         A = np.random.default_rng(100).standard_normal((100, 100))
-        inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0, restarts=1)
+        inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0)
         tracemalloc.start()
         try:
             sample_round(inst, tg, num_samples=10_000, seed=1)
@@ -300,7 +300,7 @@ class TestMomentIdentities:
 
     def test_memory_does_not_grow_with_samples(self):
         A = np.random.default_rng(100).standard_normal((100, 100))
-        inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0, restarts=1)
+        inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0)
         tracemalloc.start()
         try:
             rounding_identity_stats(inst, tg, sol, num_samples=20_000, seed=1)
