@@ -1,9 +1,10 @@
 """Hot numeric kernel: batched reversion of odd power series.
 
-Grid certification reverts one truncated series per (a, b) grid point, which
-dominates the runtime of the certification commands.  The kernel is pure
-numpy, vectorised across the batch dimension; the loops run over the series
-order only.
+Grid certification reverts one truncated series per grid point with a >= b
+(the correlation series is symmetric in a and b, so the other half is
+mirrored), which dominates the runtime of the certification commands.  The
+kernel is pure numpy, vectorised across the batch dimension; the loops run
+over the series order only.
 
 The kernel works in the compressed representation of an odd series: the
 series ``f(rho) = sum_m F[m] * rho**(2m+1)`` is stored as the coefficient

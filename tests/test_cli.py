@@ -446,7 +446,7 @@ class TestConditionsCommands:
             rows.clear()
             code, _ = run_main(argv, capsys)
             assert code == 0
-            assert sum(rows) == 441
+            assert rows == [231]  # the a >= b triangle of the 21 x 21 grid
 
     @pytest.mark.parametrize("argv", [["check-conditions"], ["certify-defect"],
                                       ["verify", "conditions"]])
@@ -455,6 +455,25 @@ class TestConditionsCommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "input error: grid 0 has no points\n"
+
+    @pytest.mark.parametrize("argv", [["check-conditions"], ["certify-defect"],
+                                      ["verify", "conditions"]])
+    def test_negative_grid_is_exit_2(self, argv, capsys):
+        code = main(argv + ["--grid", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: grid -3 has no points\n"
+
+    def test_divergent_tail_fails_with_finite_radius(self, capsys):
+        # at order 100 the fitted tail diverges at some points: the
+        # certificate fails at radius 0 instead of evaluating hhat at -inf
+        code, out = run_main(["certify-defect", "--grid", "21", "--order", "100"], capsys)
+        assert code == 1 and capsys.readouterr().err == ""
+        rec = json.loads(out)
+        assert not rec["pass"] and rec["h_err_max"] >= 0.5
+        assert rec["rho_certified"] == 0.0
+        assert 0.0 <= rec["hhat_at_rho_max"] <= 1.0
+
 
 def test_console_entry_point(sign_csv):
     out = subprocess.run([sys.executable, "-m", "pqnorm.cli", "round", "--in", sign_csv,

@@ -252,6 +252,17 @@ class TestDefectCertificate:
         assert cert.h_err_max == 0.0
         assert cert.rho_certified == pytest.approx(math.asinh(0.974203), abs=1e-12)
 
+    def test_large_h_err_is_no_certificate(self):
+        # a finite h_err >= 1/2 puts asinh(1 - 2 h_err) at -1.246, where
+        # hhat is negative too: no certificate, and radius 0
+        G = np.zeros((1, 30))
+        G[0, 0] = 1.0
+        G[0, 15:] = 200.0 * 0.9 ** np.arange(15, 30)
+        cert = certify_defect(CoeffGrid(np.zeros(1), np.zeros(1), G))
+        assert 0.5 <= cert.h_err_max < math.inf
+        assert not cert.ok
+        assert cert.rho_certified == 0.0 and cert.hhat_at_rho_max == 0.0
+
     def test_hhat_at_certified_point(self):
         x0 = ASINH1 / 1.00863
         worst = hhat_grid_max(inverse_coeff_grid(31, K=60), x0)
@@ -369,17 +380,34 @@ class TestCoeffGrid:
         x0 = ASINH1 / 1.00863
         assert hhat_grid_max(grid21, x0) == hhat_grid_max(inverse_coeff_grid(21, K=60), x0)
 
-    def test_explicit_points_match_the_int_grid(self, grid21):
-        G = inverse_coeff_grid((grid21.a, grid21.b), K=60).G
-        assert np.array_equal(G, grid21.G)
+    def test_explicit_points_match_the_int_grid(self):
+        # the int grid mirrors its a >= b triangle: every point, bit for
+        # bit, is the explicit reversion at (max(a, b), min(a, b))
+        for n in (1, 2, 3, 21, 101):
+            cg = inverse_coeff_grid(n, K=60)
+            vals = np.linspace(0.0, 1.0, n)
+            assert np.array_equal(cg.a, np.repeat(vals, n))
+            assert np.array_equal(cg.b, np.tile(vals, n))
+            hi, lo = np.maximum(cg.a, cg.b), np.minimum(cg.a, cg.b)
+            assert np.array_equal(cg.G, inverse_coeff_grid((hi, lo), K=60).G), n
+
+    def test_int_grid_matches_the_full_reversion(self):
+        # the mirror moves a point only by reversion round-off
+        cg = inverse_coeff_grid(101, K=60)
+        G = inverse_coeff_grid((cg.a, cg.b), K=60).G
+        assert np.max(np.abs(G - cg.G)) <= 1e-15
+
+    def test_explicit_points_are_reverted_as_given(self):
         one = inverse_coeff_grid((0.25, 0.5), K=60)
         assert one.a.shape == one.b.shape == (1,) and one.G.shape == (1, 30)
+        F = f_bar_w_coeffs(np.array([0.25]), np.array([0.5]), 29)
+        assert np.array_equal(one.G, _kernels.revert_odd_batch(F))
 
     def test_unequal_shapes_are_domain_error(self):
         with pytest.raises(DomainError, match="shape"):
             inverse_coeff_grid((np.zeros(3), np.zeros(2)), K=60)
 
-    @pytest.mark.parametrize("grid", [0, (np.zeros(0), np.zeros(0))])
+    @pytest.mark.parametrize("grid", [0, (np.zeros(0), np.zeros(0)), -3])
     def test_empty_grid_is_domain_error(self, grid):
         with pytest.raises(DomainError, match="grid .* has no points"):
             inverse_coeff_grid(grid, K=60)
