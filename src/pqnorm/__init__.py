@@ -5,7 +5,7 @@ from ._kernels import BACKEND
 from .errors import AccuracyError, CertificationError, DomainError, NumericalError
 from .krivine import NormPair, approx_ratio, compute_c_ab
 from .relaxation import ProblemInstance, brute_force_norm, solve_cp
-from .specfun import euler_continuation, gamma_fn, gaussian_moment, hyp_coeffs
+from .specfun import euler_continuation, gamma_fn, gaussian_moment
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "euler_continuation",
     "gamma_fn",
     "gaussian_moment",
-    "hyp_coeffs",
     "solve_cp",
     "__version__",
 ]

@@ -3,6 +3,7 @@ approximation ratios, coefficient conditions, and the defect certificate.
 Series are odd and compressed as in :mod:`pqnorm.series`."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -197,10 +198,11 @@ class CoeffGrid(NamedTuple):
 def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
     """Inverse-series coefficients at every point of ``grid``, as a CoeffGrid.
 
-    ``grid`` is an int n (the n x n uniform grid on [0,1]^2, point (i, j) at
-    row i*n + j with a = vals[i], b = vals[j]) or explicit (a, b) arrays of
-    one shape.  The certification functions below take the result, so one
-    reversion can serve several of them.
+    ``grid`` is an integer n (any ``numbers.Integral`` but a bool: the n x n
+    uniform grid on [0,1]^2, point (i, j) at row i*n + j with a = vals[i],
+    b = vals[j]) or explicit (a, b) arrays of one shape.  The certification
+    functions below take the result, so one reversion can serve several of
+    them.
 
     f_bar is symmetric in a <-> b, so the int grid reverts only its a >= b
     triangle, n(n+1)/2 rows, and writes each row to both (a, b) and (b, a).
@@ -212,7 +214,10 @@ def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
     if K < 1:
         raise DomainError("order K must be >= 1")
     M = (K - 1) // 2
-    if isinstance(grid, int):
+    if isinstance(grid, (bool, np.bool_)):
+        raise DomainError(f"grid {grid!r} is not a grid size")
+    if isinstance(grid, numbers.Integral):
+        grid = int(grid)
         if grid < 1:
             raise DomainError(f"grid {grid!r} has no points")
         vals = np.linspace(0.0, 1.0, grid)
@@ -340,17 +345,6 @@ def certify_defect(cg: CoeffGrid, t_odd: int = 31,
 def hhat_grid_max(cg: CoeffGrid, x0: float) -> float:
     """max over the (a,b) grid of hhat(x0) at the grid's truncation order."""
     return float(np.max(series.odd_horner(np.abs(cg.G), x0)))
-
-
-def cotype2_constant(exponent: float) -> float:
-    """Cotype-2 constant of the sequence space with the given exponent <= 2:
-    max(2^(1/q - 1/2), 1/gamma_q)."""
-    q = exponent
-    if q > 2.0:
-        raise DomainError("cotype-2 constant implemented only for exponent <= 2")
-    if q < 1.0:
-        raise DomainError("exponent must be >= 1")
-    return max(2.0 ** (1.0 / q - 0.5), 1.0 / gaussian_moment(q))
 
 
 def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER,

@@ -11,10 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: orders used by default: certification keeps grids fast, identity tests
-#: want long expansions.
+#: default truncation order: certification keeps grids fast.
 CERT_ORDER = 60
-IDENTITY_ORDER = 200
 
 
 def odd_horner(coeffs: np.ndarray, x) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Gamma function, Gaussian moments, hypergeometric coefficients, and the
-Euler-integral continuation of the correlation function off the unit disk."""
+"""Gamma function, Gaussian moments, and the Euler-integral continuation of
+the correlation function off the unit disk."""
 
 import math
 import sys
@@ -88,40 +88,6 @@ def gaussian_moment(r: float) -> float:
         # (1 + r) / 2 + g - 1/2 of log_gamma
         return math.sqrt(2.0 * ((1.0 + r) / 2.0 + _LANCZOS_G - 0.5) / math.e)
     return math.exp(logpow / r) if r else 1.0
-
-
-def _validate_lower_param(beta) -> None:
-    if beta <= 0 and abs(beta - round(beta)) < 1e-12:
-        raise DomainError(f"denominator parameter {beta} is a nonpositive integer")
-
-
-def hyp_coeffs(kind: str, params, K: int):
-    """Taylor coefficients of 1F1(alpha; beta; x) or 2F1(w, alpha; beta; x).
-
-    ``params`` is (alpha, beta) for ``kind='1F1'`` and (w, alpha, beta) for
-    ``kind='2F1'``.  Coefficient k is (alpha)_k/((beta)_k k!), resp.
-    (w)_k (alpha)_k/((beta)_k k!), by the rising-factorial recurrence.
-    Returns the K + 1 coefficients of degrees 0..K as an array.
-    """
-    if K < 0:
-        raise DomainError("order K must be >= 0")
-    if kind == "1F1":
-        alpha, beta = params
-        _validate_lower_param(beta)
-        c = np.zeros(K + 1)
-        c[0] = 1.0
-        for k in range(K):
-            c[k + 1] = c[k] * (alpha + k) / ((beta + k) * (k + 1))
-    elif kind == "2F1":
-        w, alpha, beta = params
-        _validate_lower_param(beta)
-        c = np.zeros(K + 1)
-        c[0] = 1.0
-        for k in range(K):
-            c[k + 1] = c[k] * (w + k) * (alpha + k) / ((beta + k) * (k + 1))
-    else:
-        raise DomainError(f"unknown hypergeometric kind {kind!r}")
-    return c
 
 
 def _on_excluded_ray(z):

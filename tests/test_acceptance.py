@@ -43,7 +43,7 @@ def test_criterion_01_arcsin_anchor():
     binomial closed form.
     """
     t0 = time.perf_counter()
-    K = series.IDENTITY_ORDER
+    K = 200
     s = krivine.f_bar_w_coeffs(0.0, 0.0, (K - 1) // 2)
     ref_poly = arcsin_taylor_coeffs(K)
     worst = 0.0

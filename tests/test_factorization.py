@@ -1,12 +1,25 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pqnorm.cli import main
 from pqnorm.errors import DomainError
-from pqnorm.factorization import _cs_weights, _min_eig_scaled, build_certificate, solve_dual
+from pqnorm.factorization import _cs_weights, _scaled, build_certificate, solve_dual
 from pqnorm.krivine import NormPair
 from pqnorm.relaxation import ProblemInstance, brute_force_norm, lp_norm, solve_cp
+
+
+def block_min_eig(A, s, t):
+    """Reference: lambda_min of D^{-1/2} [[D_s, -A], [-A^T, D_t]] D^{-1/2}
+    on the support of (s, t), from the (m+n)^2 block matrix."""
+    m, n = A.shape
+    M = np.block([[np.diag(s), -A], [-A.T, np.diag(t)]])
+    d = np.concatenate([s, t])
+    sup = d > 0
+    ds = 1.0 / np.sqrt(d[sup])
+    return float(np.linalg.eigvalsh(ds[:, None] * M[np.ix_(sup, sup)] * ds[None, :])[0])
 
 
 class TestSolveDual:
@@ -71,7 +84,7 @@ class TestSolveDual:
             primal = solve_cp(ProblemInstance(A, pair), seed=seed)
             s, t, lam = _cs_weights(A, primal.U, primal.V)
             assert lam > 0.0
-            assert lam == pytest.approx(_min_eig_scaled(A, s, t), abs=1e-14)
+            assert lam == pytest.approx(block_min_eig(A, s, t), abs=1e-14)
 
     def test_spectral_stall_instance_is_covered(self):
         # solve_cp stops on an objective stall 2e-14 relative below ||A||_2
@@ -165,19 +178,25 @@ class TestCertificate:
         assert c2.spectral_norm_B <= 1.0 + 1e-6
 
     def test_infeasible_weights_rejected(self):
+        # ||B||_2 = 1/w, also where B^T B would overflow
         inst = ProblemInstance(np.eye(2), NormPair(2.0, 2.0))
-        with pytest.raises(DomainError):
-            build_certificate(inst, np.array([1e-6, 1e-6]), np.array([1e-6, 1e-6]))
+        for w, norm in [(1e-6, r"1\.000e\+06"), (1e-300, r"1\.000e\+300")]:
+            with pytest.raises(DomainError, match=norm):
+                build_certificate(inst, np.array([w, w]), np.array([w, w]))
 
     def test_zero_weight_against_nonzero_row_is_infeasible(self):
         # no scaling rescues a zero weight on a nonzero row: the 2x2 minor
         # [[0, -a], [-a, t]] is indefinite for a != 0
-        from pqnorm.factorization import _min_eig_scaled
-
         A = np.eye(2)
-        assert _min_eig_scaled(A, np.array([0.0, 1.0]), np.array([1.0, 1.0])) == -math.inf
+        assert _scaled(A, np.array([0.0, 1.0]), np.array([1.0, 1.0]))[1] == math.inf
+        assert _scaled(A, np.array([1.0, 1.0]), np.array([1.0, 0.0]))[1] == math.inf
+        with pytest.raises(DomainError):
+            build_certificate(ProblemInstance(A, NormPair(2.0, 2.0)),
+                              np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         # s_i = t_i = 1 puts the diagonal blocks exactly at the boundary
-        assert _min_eig_scaled(A, np.array([2.0, 1.0]), np.array([1.0, 1.0])) >= 0.0
+        B, norm_B = _scaled(A, np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+        assert norm_B == 1.0
+        assert B[0, 1] == B[1, 0] == 0.0 and B[1, 1] == 1.0
 
 
 GAP_SHAPES = {
@@ -203,3 +222,61 @@ def test_one_start_closes_the_gap(shape, pair):
         dual = solve_dual(inst, primal=primal)
         assert primal.value <= dual.value * (1.0 + 1e-12), seed
         assert dual.value - primal.value <= 1e-4 * dual.value, seed
+
+
+@pytest.mark.parametrize("shape", list(GAP_SHAPES))
+def test_scaled_norm_is_block_lambda_min(shape):
+    # lambda_min of the scaled (m+n)^2 block matrix is 1 - ||B||_2, at the
+    # repaired CS weights (just inside the boundary) and at random weights
+    # (far outside it)
+    rng = np.random.default_rng([11, 7])
+    A = GAP_SHAPES[shape](rng)
+    primal = solve_cp(ProblemInstance(A, NormPair(4.0, 4.0 / 3.0)))
+    s, t, _ = _cs_weights(A, primal.U, primal.V)
+    weights = [(s, t), (rng.random(A.shape[0]) + 0.5, rng.random(A.shape[1]) + 0.5)]
+    for s, t in weights:
+        norm_B = _scaled(A, s, t)[1]
+        assert 1.0 - norm_B == pytest.approx(block_min_eig(A, s, t), abs=1e-13)
+
+
+def factorize_cli(A, tmp_path, monkeypatch, capsys):
+    """``pqnorm factorize`` on A: the stdout record and the shape of every
+    matrix passed to numpy's eigensolvers."""
+    path = tmp_path / "A.csv"
+    np.savetxt(path, A, delimiter=",")
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    assert main(["factorize", "--in", str(path)]) == 0
+    return json.loads(capsys.readouterr().out), shapes
+
+
+class TestFactorizeCommand:
+    def test_eigensolves_are_on_the_small_gram(self, tmp_path, monkeypatch, capsys):
+        # one ||B||_2 in the dual's repair, one in the certificate; each on
+        # the min(m, n)-square Gram, never on the (m+n)^2 block matrix
+        A = np.random.default_rng(20).standard_normal((20, 120))
+        _, shapes = factorize_cli(A, tmp_path, monkeypatch, capsys)
+        assert shapes == [(20, 20), (20, 20)]
+
+    @pytest.mark.parametrize("m,n", [(6, 5), (20, 120), (40, 40)])
+    def test_min_eigenvalue_is_one_minus_norm_B(self, m, n, tmp_path, monkeypatch, capsys):
+        A = np.random.default_rng([m, n]).standard_normal((m, n))
+        rec, _ = factorize_cli(A, tmp_path, monkeypatch, capsys)
+        assert rec["min_eigenvalue"] == 1.0 - rec["spectral_norm_B"]
+        assert 0.0 < rec["min_eigenvalue"] < 1e-9
+
+
+def test_large_instance_norm_B_at_most_one():
+    # the certificate reports the same ||B||_2 that the repair scaled below 1;
+    # a separate SVD of B could read 1.000000000000006 here
+    inst = ProblemInstance(np.random.default_rng(1000).standard_normal((1000, 1000)),
+                           NormPair(4.0, 4.0 / 3.0))
+    dual = solve_dual(inst, solve_cp(inst, seed=0))
+    cert = build_certificate(inst, dual.s, dual.t)
+    assert cert.spectral_norm_B <= 1.0
+    assert cert.min_eigenvalue == 1.0 - cert.spectral_norm_B >= 0.0

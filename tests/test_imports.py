@@ -1,8 +1,9 @@
-"""scipy stays off the import path: only the contour and identity suites
-need it, and loading it costs more than most commands take to run.
+"""The package's import surface.  Every exported name resolves, and scipy
+stays off the import path: only the contour and identity suites need it,
+and loading it costs more than most commands take to run.
 
-Each case runs in a fresh interpreter, since this test process has scipy
-loaded already."""
+The scipy cases run in a fresh interpreter, since this test process has
+scipy loaded already."""
 
 import json
 import os
@@ -26,6 +27,12 @@ def scipy_modules_after(code: str) -> list:
     done = subprocess.run([sys.executable, "-c", code + "\n" + _REPORT], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is deleted fails here,
+    # not in a user's `from pqnorm import *`
+    assert [name for name in pqnorm.__all__ if not hasattr(pqnorm, name)] == []
 
 
 @pytest.mark.parametrize("module", ["pqnorm", "pqnorm.cli"])

@@ -16,7 +16,6 @@ from pqnorm.krivine import (
     certify_defect,
     check_conditions,
     compute_c_ab,
-    cotype2_constant,
     f_bar_w_coeffs,
     hhat_grid_max,
     inverse_coeff_grid,
@@ -81,10 +80,12 @@ class TestFBarSeries:
         assert g[2] == pytest.approx(3.0 / 40.0, rel=1e-15)
 
     def test_a_equal_one_is_identity(self):
+        # a = 1 (or b = 1) zeroes the upper parameter (1 - a)/2
         pair = NormPair(p=2.0, q=1.3)
-        g = f_bar(pair.a, pair.b, 15)
-        assert g[0] == 1.0
-        assert np.all(g[1:] == 0.0)
+        for a, b in [(pair.a, pair.b), (pair.b, pair.a)]:
+            g = f_bar(a, b, 15)
+            assert g[0] == 1.0
+            assert np.all(g[1:] == 0.0)
 
     def test_cubic_coefficient_formula(self):
         # [rho^3] = (1-a)(1-b)/6, at a = b = 1/2 equal to 1/24
@@ -416,23 +417,16 @@ class TestCoeffGrid:
         with pytest.raises(DomainError):
             inverse_coeff_grid(5, K=0)
 
+    @pytest.mark.parametrize("n", [np.int64(5), np.uint8(5), np.int32(1)])
+    def test_numpy_integer_is_the_int_grid(self, n):
+        cg, ref = inverse_coeff_grid(n, K=60), inverse_coeff_grid(int(n), K=60)
+        for got, want in zip(cg, ref):
+            assert np.array_equal(got, want)
 
-class TestCotype:
-    def test_hilbert(self):
-        assert cotype2_constant(2.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ell1(self):
-        # compare sqrt(2) = 1.41421 against 1/gamma_1 = sqrt(pi/2) = 1.2533
-        assert cotype2_constant(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            cotype2_constant(2.5)
-
-    def test_factorization_bound_form(self):
-        # (1 + eps0)/asinh(1) * C2(l_{p*}) * C2(l_q) at p = inf, q = 1
-        bound = (1.00863 / ASINH1) * cotype2_constant(1.0) * cotype2_constant(1.0)
-        assert bound == pytest.approx(1.00863 * 2.0 / ASINH1, rel=1e-12)
+    @pytest.mark.parametrize("grid", [True, False, np.True_])
+    def test_bool_grid_is_domain_error(self, grid):
+        with pytest.raises(DomainError, match="not a grid size"):
+            inverse_coeff_grid(grid, K=60)
 
 
 class TestSweep:

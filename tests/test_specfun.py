@@ -15,7 +15,6 @@ from pqnorm.specfun import (
     gamma_fn,
     gaussian_moment,
     gaussian_moment_pow,
-    hyp_coeffs,
     log_gamma,
 )
 
@@ -137,32 +136,6 @@ class TestGaussianMoment:
         assert 3.7e306 < gaussian_moment_pow(300.0) < 3.8e306
         with pytest.raises(DomainError):
             gaussian_moment_pow(302.0)
-
-
-class TestHypCoeffs:
-    def test_arcsin_series(self):
-        # oracle: arcsin(rho)/rho = 1 + rho^2/6 + 3 rho^4/40 + ...
-        c = hyp_coeffs("2F1", (0.5, 0.5, 1.5), 2)
-        assert np.allclose(c, [1.0, 1.0 / 6.0, 3.0 / 40.0], rtol=1e-15)
-
-    def test_zero_upper_parameter(self):
-        c = hyp_coeffs("2F1", (0.0, 0.7, 1.5), 6)
-        assert c.shape == (7,) and c[0] == 1.0
-        assert np.all(c[1:] == 0.0)
-
-    def test_exp_series(self):
-        c = hyp_coeffs("1F1", (1.0, 1.0), 3)
-        assert np.allclose(c, [1.0, 1.0, 0.5, 1.0 / 6.0], rtol=1e-15)
-
-    def test_nonnegative_for_positive_params(self):
-        for params in [(0.5, 0.3, 1.5), (1.2, 2.0, 0.7), (0.01, 0.99, 3.2)]:
-            assert np.all(hyp_coeffs("2F1", params, 30) >= 0.0)
-
-    def test_bad_denominator(self):
-        with pytest.raises(DomainError):
-            hyp_coeffs("1F1", (0.5, -2.0), 4)
-        with pytest.raises(DomainError):
-            hyp_coeffs("2F1", (0.5, 0.5, 0.0), 4)
 
 
 class TestEulerContinuation:
