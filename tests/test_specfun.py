@@ -9,6 +9,7 @@ from scipy import integrate
 
 from pqnorm import specfun
 from pqnorm.errors import DomainError
+from pqnorm.krivine import f_bar_w_coeffs
 from pqnorm.oracles import _contour_points
 from pqnorm.specfun import (
     euler_continuation,
@@ -136,6 +137,29 @@ class TestGaussianMoment:
         assert 3.7e306 < gaussian_moment_pow(300.0) < 3.8e306
         with pytest.raises(DomainError):
             gaussian_moment_pow(302.0)
+
+
+def hyp2f1_coeffs(alpha, beta, M):
+    """Coefficients 0..M of 2F1(alpha, beta; 3/2; x), the only Gauss
+    hypergeometric series the library forms: f_bar_w_coeffs(a, b, M) is the
+    one with upper parameters (1-a)/2 and (1-b)/2."""
+    return f_bar_w_coeffs(1.0 - 2.0 * alpha, 1.0 - 2.0 * beta, M)
+
+
+class TestHypCoeffs:
+    def test_arcsin_series(self):
+        # oracle: arcsin(rho)/rho = 1 + rho^2/6 + 3 rho^4/40 + ...
+        c = hyp2f1_coeffs(0.5, 0.5, 2)
+        assert np.allclose(c, [1.0, 1.0 / 6.0, 3.0 / 40.0], rtol=1e-15)
+
+    def test_zero_upper_parameter(self):
+        c = hyp2f1_coeffs(0.0, 0.7, 6)
+        assert c.shape == (7,) and c[0] == 1.0
+        assert np.all(c[1:] == 0.0)
+
+    def test_nonnegative_for_positive_params(self):
+        for alpha, beta in [(0.5, 0.3), (1.2, 2.0), (0.01, 0.99)]:
+            assert np.all(hyp2f1_coeffs(alpha, beta, 30) >= 0.0)
 
 
 class TestEulerContinuation:
