@@ -1,6 +1,7 @@
 """Gamma function, Gaussian moments, and the Euler-integral continuation of
 the correlation function off the unit disk."""
 
+import functools
 import math
 import sys
 
@@ -99,8 +100,17 @@ def _on_excluded_ray(z):
 
 #: nodes of the Gauss-Jacobi rule; the error check reruns with half as many
 _GJ_NODES = 192
-#: points per block, which bounds the (points, nodes) work arrays (~3 MB each)
+#: points per block, which bounds the (points, nodes) work arrays (~3 MB each;
+#: the graded fallback's, for the points of a block that fail the check, are
+#: three times wider)
 _GJ_BLOCK = 1024
+#: relative agreement of the two node counts that accepts a value
+_ACCEPT = 1e-9
+#: nodes per panel of the graded fallback rule, fine and coarse
+_GRADED_NODES = (20, 16)
+#: width ratio of neighbouring panels of the graded rule, and its panel levels
+_GRADE_RATIO = 0.25
+_GRADE_LEVELS = 28
 
 
 def _gauss_jacobi(n: int, alpha: float, beta: float):
@@ -147,33 +157,63 @@ def _euler_rule(n: int, b: float):
     return t, w * path
 
 
-def _euler_quad(z: complex, a: float, b: float) -> complex:
-    """The continuation at one point by adaptive quadrature on [0, 1]."""
-    from scipy import integrate
+def _graded_rule(gauss, n: int, expo: float):
+    """One side of the graded fallback rule, n nodes per panel: nodes v in
+    (0, 1) and weights, from the Gauss rules of ``gauss``.  The panels shrink
+    by _GRADE_RATIO toward v = 0, over _GRADE_LEVELS levels.  The panel
+    [_GRADE_RATIO, 1] is Gauss-Jacobi, its weight absorbing (1-v)^expo;
+    every other panel is Gauss-Legendre, with that factor folded into its
+    weights."""
+    x, w = gauss(n, 0.0, 0.0)
+    hi = _GRADE_RATIO ** np.arange(1, _GRADE_LEVELS + 1)
+    lo = np.append(hi[1:], 0.0)
+    v = (lo[:, None] + (hi - lo)[:, None] * (1.0 + x) / 2.0).ravel()
+    wv = ((hi - lo)[:, None] * w).ravel()
+    xj, wj = gauss(n, expo, 0.0)
+    vj = _GRADE_RATIO + (1.0 - _GRADE_RATIO) * (1.0 + xj) / 2.0
+    wj = wj * (1.0 - _GRADE_RATIO) ** (1.0 + expo) / (1.0 + expo)
+    return np.concatenate([vj, v]), np.concatenate([wj, wv * (1.0 - v) ** expo])
 
-    beta_norm = gamma_fn((1.0 - b) / 2.0) * gamma_fn(1.0 + b / 2.0) / gamma_fn(1.5)
-    z2 = z * z
 
-    def integrand(s, part):
-        t = s * s
-        val = 2.0 * (1.0 - t) ** (b / 2.0) * s ** (-b) * (1.0 - z2 * t) ** (-(1.0 - a) / 2.0)
-        return val.real if part == 0 else val.imag
+def _euler_graded(z, power, b: float, gauss):
+    """The continuation at the points ``z``, each with its own exponent
+    ``power`` = -(1-a)/2, by graded rules (see _graded_rule) on the real
+    segment, in s = sqrt(t):  2 int_0^1 (1-s^2)^{b/2} s^{-b}
+    (1-z^2 s^2)^power ds.  AccuracyError where the two node counts of
+    _GRADED_NODES disagree."""
+    w = np.where(z.real < 0, -z, z)[:, None]  # w^2 = z^2 and Re w >= 0
+    # the grading point, next to the branch point 1/w; kept off 0 by the
+    # finest panel width, so that the endpoint singularity s^{-b} stays in
+    # the left side's Gauss-Jacobi weight
+    c = np.clip((1.0 / w).real, _GRADE_RATIO ** _GRADE_LEVELS, 1.0)
+    p = power[:, None]
 
-    total = 0.0 + 0.0j
-    err = 0.0
-    for part in (0, 1):
-        out = integrate.quad(
-            integrand, 0.0, 1.0, args=(part,), epsabs=1e-13, epsrel=1e-12,
-            limit=200, full_output=1,
-        )
-        val, abserr = out[0], out[1]
-        total += val if part == 0 else 1j * val
-        err += abserr
-    result = z * total / beta_norm
-    if err > max(1e-8 * abs(result), 1e-11):
+    def side(s, u, edge, wt):
+        # 1 - z^2 s^2 = (u + (1 - w) s)(1 + w s), each factor accurate
+        f = ((u + (1.0 - w) * s) * (1.0 + w * s)) ** p * (1.0 + s) ** (b / 2.0)
+        return (f * edge * wt).sum(axis=1)
+
+    vals = []
+    for n in _GRADED_NODES:
+        # [0, 1] splits at c: s = c (1 - v) to its left, s = c + (1 - c) v to
+        # its right, and u = 1 - s keeps its digits next to s = 1
+        v, wt = _graded_rule(gauss, n, -b)
+        s, u = c * (1.0 - v), (1.0 - c) + c * v
+        val = c[:, 0] ** (1.0 - b) * side(s, u, u ** (b / 2.0), wt)
+        if (c < 1.0).any():  # the right side is empty at c = 1 and adds 0
+            v, wt = _graded_rule(gauss, n, b / 2.0)
+            s, u = c + (1.0 - c) * v, (1.0 - c) * (1.0 - v)
+            val = val + (1.0 - c[:, 0]) ** (1.0 + b / 2.0) * side(s, u, s ** -b, wt)
+        vals.append(val)
+    # B((1-b)/2, 1+b/2) by the stdlib gamma, within 7e-16 here (gamma_fn 2e-15)
+    beta = math.gamma((1.0 - b) / 2.0) * math.gamma(1.0 + b / 2.0) / math.gamma(1.5)
+    result, coarse = (2.0 * z * val / beta for val in vals)
+    miss = ~(np.abs(result - coarse) <= _ACCEPT * np.abs(result))
+    if miss.any():
+        i = np.flatnonzero(miss)[0]
         raise AccuracyError(
-            f"quadrature did not converge to target accuracy at z={z}",
-            achieved=result, error_estimate=err,
+            f"graded quadrature did not converge to target accuracy at z={z[i]}",
+            achieved=complex(result[i]), error_estimate=float(abs(result[i] - coarse[i])),
         )
     return result
 
@@ -183,10 +223,8 @@ def euler_continuation(z, a, b: float):
 
     Evaluates  B((1-b)/2, 1+b/2)^{-1} * z * int_0^1 (1-t)^{b/2} /
     (t^{(1+b)/2} (1-z^2 t)^{(1-a)/2}) dt,  valid on the plane cut along
-    (-inf,-1] and [1,inf).  Relative accuracy 1e-8 for |z| <= 10, except
-    within about 1e-6 of the branch points +-1 (e.g. z = 0.999999 at
-    a = 0.2, b = 0.9), where AccuracyError is raised: the quadrature fallback
-    cannot meet 1e-8 there.  Complex powers take the principal branch.
+    (-inf,-1] and [1,inf).  Relative accuracy 1e-8 for |z| <= 10, next to
+    the branch points +-1 included.  Complex powers take the principal branch.
 
     ``z`` and ``a`` are scalars or arrays that broadcast against each other;
     ``b`` is a scalar, because the node rules depend on it alone.  Two
@@ -199,18 +237,27 @@ def euler_continuation(z, a, b: float):
     singularities, along the parabola t(s) = s (1 + i sigma (1-s)) with
     sigma = sign Im(z^2) (+1 when that is 0).  The parabola bends away from
     the branch point 1/z^2, and the cut {u/z^2 : u >= 1} lies on the other
-    side of [0, 1], so by Cauchy's theorem the value is unchanged.  A point
-    is accepted when the 192- and 96-node values agree to 1e-9 relative;
-    every other point (in practice z next to +-1, where 1/z^2 sits just past
-    t = 1) falls back to adaptive ``scipy.integrate.quad`` at its own ``a``,
-    which raises AccuracyError when its own error estimate misses the
-    target.  Each call builds its node rules (a few ms), so pass many points
-    and exponents as one array.
+    side of [0, 1], so by Cauchy's theorem the value is unchanged.  The
+    power is exp(power * log(1 - z^2 t)), the same bits as the complex
+    power, with each log taken once per distinct z and shared by every
+    ``a``.  A point is accepted when the 192- and 96-node values agree to
+    1e-9 relative.  Every other point (in practice z next to +-1, where
+    1/z^2 sits just past t = 1) goes, at its own ``a``, to a graded
+    composite rule on the real segment, in s = sqrt(t).  [0, 1] splits at
+    c = |Re(1/z)| clipped to [4^-28, 1], the foot of the nearer branch point,
+    and each side is cut into 29 panels whose widths shrink by 4 toward c.
+    The panels at 0 and 1 are Gauss-Jacobi with weights s^{-b} and
+    (1-s)^{b/2}, the rest Gauss-Legendre, and 1 - z^2 s^2 is formed as a
+    product of two factors that keep their digits next to the branch point.
+    Its 20- and 16-node values must agree to 1e-9 relative, or AccuracyError
+    is raised.  Each call builds its node rules (a few ms), once, so pass
+    many points and exponents as one array.
     """
     if np.ndim(b) != 0 or not 0 <= b < 1:
         raise DomainError(f"exponent b must be a scalar in [0,1), got b={b}")
     scalar = np.ndim(z) == 0 and np.ndim(a) == 0
-    z, a = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(a, dtype=float))
+    z_in = np.asarray(z, dtype=complex)
+    z, a = np.broadcast_arrays(z_in, np.asarray(a, dtype=float))
     bad_a = ~((a >= 0) & (a < 1))
     if bad_a.any():
         raise DomainError(f"exponent a must lie in [0,1), got a={a[bad_a].flat[0]}")
@@ -221,23 +268,31 @@ def euler_continuation(z, a, b: float):
     if on_ray.any():
         raise DomainError(f"z={z[on_ray].flat[0]} lies on the excluded real rays |Re z| >= 1")
     flat, a_flat = z.ravel(), a.ravel()
+    # each point's index into z_in: the points of one z share its logarithms
+    z_of = np.broadcast_to(np.arange(z_in.size).reshape(z_in.shape), z.shape).ravel()
+    z_in = z_in.ravel()
     power = -(1.0 - a_flat) / 2.0
     out = np.zeros_like(flat)
     todo = np.flatnonzero(flat)
     if todo.size:
         rules = [_euler_rule(n, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
+        gauss = functools.cache(_gauss_jacobi)  # the graded rules: each built once, if needed
         for lo in range(0, todo.size, _GJ_BLOCK):
             idx = todo[lo:lo + _GJ_BLOCK]
-            z2 = flat[idx] ** 2
-            flip = z2.imag < 0  # sigma = -1: integrate at conj(z^2), conjugate back
-            z2[flip] = z2[flip].conjugate()
-            full, half = (((1.0 - z2[:, None] * t) ** power[idx, None] * hw).sum(axis=1)
-                          for t, hw in rules)
-            ok = np.abs(full - half) <= 1e-9 * np.abs(full)
+            distinct, of = np.unique(z_of[idx], return_inverse=True)
+            z2 = z_in[distinct] ** 2
+            down = z2.imag < 0  # sigma = -1: integrate at conj(z^2), conjugate back
+            z2[down] = z2[down].conjugate()
+            # (1 - z^2 t)^power as exp(power log(1 - z^2 t)), the same bits
+            full, half = ((np.exp(power[idx, None] * np.log(1.0 - z2[:, None] * t)[of]) * hw)
+                          .sum(axis=1) for t, hw in rules)
+            ok = np.abs(full - half) <= _ACCEPT * np.abs(full)
+            flip = down[of]
             full[flip] = full[flip].conjugate()
             out[idx[ok]] = flat[idx[ok]] * full[ok]
-            for i in idx[~ok]:
-                out[i] = _euler_quad(complex(flat[i]), float(a_flat[i]), b)
+            miss = idx[~ok]
+            if miss.size:
+                out[miss] = _euler_graded(flat[miss], power[miss], b, gauss)
     if scalar:
         return complex(out[0])
     return out.reshape(z.shape)

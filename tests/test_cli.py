@@ -366,15 +366,18 @@ class TestVerify:
 
     def test_contours_make_one_continuation_call_per_b(self, monkeypatch, capsys):
         # 25 (a, b) pairs of 50 contour points: one continuation call per b
-        # covers all five a, and builds its two node rules once; only points
-        # next to the branch point fall back to quad, two calls each (real
-        # and imaginary part).  The three inversion-formula pairs evaluate
-        # their correlation series once each, for all four k.
+        # covers all five a, and builds its two node rules once; the points
+        # next to the branch point go to the graded rule in one call.  All of
+        # them lie left of their grading point c = 1, so that call builds a
+        # Gauss-Legendre and an s^{-b} Gauss-Jacobi rule at 20 and at 16
+        # nodes (one rule each at b = 0).  The three inversion-formula pairs
+        # evaluate their correlation series once each, for all four k.
         from scipy import integrate
 
         from pqnorm import oracles, specfun
 
-        calls, rules, series, fallback_points, quad_calls = [0], [0], [0], [0], [0]
+        calls, rules, series, quad_calls = [0], [0], [0], [0]
+        graded_points = []  # one list of points per graded call
 
         def count(owner, name, counter):
             fn = getattr(owner, name)
@@ -388,15 +391,22 @@ class TestVerify:
         count(oracles, "euler_continuation", calls)
         count(specfun, "_gauss_jacobi", rules)
         count(oracles, "f_bar_w_coeffs", series)
-        count(specfun, "_euler_quad", fallback_points)
         count(integrate, "quad", quad_calls)
+        graded = specfun._euler_graded
+
+        def points(z, *args):
+            graded_points.append(z.tolist())
+            return graded(z, *args)
+
+        monkeypatch.setattr(specfun, "_euler_graded", points)
         code, out = run_main(["verify", "contours"], capsys)
         assert code == 0 and len(out.splitlines()) == 38
         assert calls[0] == 5
-        assert rules[0] == 10
+        assert len(graded_points) <= calls[0]
+        assert sum(graded_points, []) == [1.0 - 1e-4] * 24
+        assert rules[0] == 2 * 5 + 4 * 4 + 2
         assert series[0] == 3
-        assert quad_calls[0] <= 2 * fallback_points[0]
-        assert quad_calls[0] <= 100
+        assert quad_calls[0] == 0
 
     def test_contours_revert_once(self, monkeypatch, capsys):
         # the three inversion-formula pairs share one reversion

@@ -1,6 +1,7 @@
 """The package's import surface.  Every exported name resolves, and scipy
-stays off the import path: only the contour and identity suites need it,
-and loading it costs more than most commands take to run.
+stays off the import path: only the contour suite (its Gauss-Jacobi nodes,
+from scipy.special) and the identity suite (scipy.integrate) need it, and
+loading it costs more than most commands take to run.
 
 The scipy cases run in a fresh interpreter, since this test process has
 scipy loaded already."""
@@ -59,3 +60,13 @@ def test_contour_rule_loads_scipy_on_call():
     # the check above can see scipy: the Gauss-Jacobi nodes import it when called
     code = "from pqnorm import specfun\nspecfun.euler_continuation(0.5, 0.2, 0.3)"
     assert "scipy.special" in scipy_modules_after(code)
+
+
+def test_contours_load_no_scipy_integrate(tmp_path):
+    # the points next to the branch point take the graded Gauss rule, so the
+    # contour suite needs the Gauss-Jacobi nodes and no adaptive quadrature
+    argv = ["verify", "contours", "--out", str(tmp_path / "out.txt")]
+    code = f"from pqnorm.cli import main\nassert main({argv!r}) == 0"
+    loaded = scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.integrate")] == []

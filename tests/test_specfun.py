@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from pqnorm import specfun
-from pqnorm.errors import DomainError
+from pqnorm.errors import AccuracyError, DomainError
 from pqnorm.krivine import f_bar_w_coeffs
 from pqnorm.oracles import _contour_points
 from pqnorm.specfun import (
@@ -230,6 +230,7 @@ def hyp2f1_reference(z, a, b):
 
 class TestEulerContinuationArray:
     CONTOUR = np.concatenate(_contour_points(6.0, 1e-4, 25))  # the verify-contours points
+    LATTICE = [0.0, 0.25, 0.5, 0.75, 0.95]  # its exponents
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 0.95), (0.5, 0.25), (0.95, 0.95)])
     def test_contour_points_against_mpmath(self, a, b):
@@ -303,19 +304,84 @@ class TestEulerContinuationArray:
 
     def test_fallback_only_next_to_the_branch_point(self, monkeypatch):
         # the 50 contour points at (0.5, 0.5) and their mirror images, whose
-        # path bends the other way: only z = 1 - 1e-4 needs quad
+        # path bends the other way: only z = 1 - 1e-4 needs the graded rule
         points = []
-        quad = specfun._euler_quad
+        graded = specfun._euler_graded
 
-        def counting(z, a, b):
-            points.append(z)
-            return quad(z, a, b)
+        def counting(z, *args):
+            points.extend(z.tolist())
+            return graded(z, *args)
 
-        monkeypatch.setattr(specfun, "_euler_quad", counting)
+        monkeypatch.setattr(specfun, "_euler_graded", counting)
         for z in (self.CONTOUR, self.CONTOUR.conj()):
             points.clear()
             euler_continuation(z, 0.5, 0.5)
             assert points == [1.0 - 1e-4]
+
+    def test_branch_leg_start_against_mpmath(self, monkeypatch):
+        # z = 1 - 1e-4 starts the contour's near-real leg.  24 of the 25
+        # lattice pairs fail the Gauss-Jacobi check there and take the graded
+        # rule, good to 1e-14; at (0.95, 0.95) the 192 and 96 nodes agree to
+        # 1.6e-10, so that pair keeps the Gauss-Jacobi value, 1.05e-12 off
+        graded_b = []
+        graded = specfun._euler_graded
+
+        def counting(z, power, b, gauss):
+            graded_b.append(b)
+            return graded(z, power, b, gauss)
+
+        monkeypatch.setattr(specfun, "_euler_graded", counting)
+        for a in self.LATTICE:
+            for b in self.LATTICE:
+                graded_b.clear()
+                val = euler_continuation(1.0 - 1e-4, a, b)
+                ref = complex(hyp2f1_reference(1.0 - 1e-4, a, b))
+                assert graded_b == ([] if a == b == 0.95 else [b])
+                tol = 1e-11 if a == b == 0.95 else 1e-14
+                assert abs(val - ref) <= tol * abs(ref), (a, b)
+
+    @pytest.mark.parametrize("z", [1 - 1e-6, 1 - 1e-9, -(1 - 1e-8), 0.9999 + 1e-7j,
+                                   0.99999 - 2e-6j])
+    def test_next_to_the_branch_points_against_mpmath(self, z):
+        # within 1e-6 of +-1 the continuation used to raise AccuracyError
+        # (z = 0.999999, a = 0.2, b = 0.9); the graded rule meets 1e-8 there
+        a = np.array(self.LATTICE + [0.2])
+        for b in self.LATTICE + [0.9]:
+            val = euler_continuation(z, a, b)
+            ref = np.array([hyp2f1_reference(z, a_i, b) for a_i in a])
+            assert np.all(np.abs(val - ref) <= 1e-8 * np.abs(ref)), b
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.95, 0.999])
+    def test_graded_rule_against_mpmath(self, b):
+        # the fallback on its own, at grading points c = |Re 1/z| of 1 (next
+        # to +-1), inside (0, 1), and 0 (the imaginary axis, where the
+        # endpoint singularity s^{-b} meets the grading point)
+        z = np.array([1 - 1e-4, -(1 - 1e-9), 0.99999 - 2e-6j, 0.3 - 2.0j, -4.0 - 0.01j,
+                      10 + 0.1j, 1e-8 + 1e-8j, 0.5j, 10j, 50j])
+        for a in (0.0, 0.5, 0.999):
+            val = specfun._euler_graded(z, np.full(z.size, -(1 - a) / 2), b, specfun._gauss_jacobi)
+            ref = hyp2f1_reference(z, a, b)
+            assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref)), a
+
+    def test_graded_rule_disagreement_is_accuracy_error(self, monkeypatch):
+        # with 3 and 2 nodes per panel the two values part beyond 1e-9, so
+        # the check must refuse them rather than return the finer one
+        monkeypatch.setattr(specfun, "_GRADED_NODES", (3, 2))
+        with pytest.raises(AccuracyError, match="graded quadrature") as err:
+            specfun._euler_graded(np.array([0.5j, 1 - 1e-4]), np.array([-0.5, -0.25]), 0.5,
+                                  specfun._gauss_jacobi)
+        assert err.value.error_estimate > 1e-9 * abs(err.value.achieved)
+
+    def test_graded_rule_weights(self):
+        # each side's weights integrate its endpoint factor (1-v)^{-b} or
+        # (1-v)^{b/2} over [0, 1], and the nodes fill (0, 1)
+        for b in (0.0, 0.5, 0.999):
+            for n in specfun._GRADED_NODES:
+                for expo in (-b, b / 2):
+                    v, w = specfun._graded_rule(specfun._gauss_jacobi, n, expo)
+                    assert 0 < v.min() and v.max() < 1
+                    assert w.sum() == pytest.approx(1 / (1 + expo), rel=1e-13)
+                    assert np.dot(w, v) == pytest.approx(1 / ((1 + expo) * (2 + expo)), rel=1e-13)
 
     def test_gauss_jacobi_legendre_case(self):
         # alpha + beta = 0 makes the recurrence's general diagonal 0/0 at
