@@ -230,58 +230,20 @@ def _enumerate_sign_norm(A: np.ndarray, q: float) -> float:
     return best
 
 
-def _sample_p_sphere(rng, n: int, p: float, count: int) -> np.ndarray:
-    """Rows on the l_p unit sphere via the normalized generalized normal."""
-    if math.isinf(p):
-        X = rng.uniform(-1.0, 1.0, size=(count, n))
-        return X / np.max(np.abs(X), axis=1, keepdims=True)
-    signs = rng.choice([-1.0, 1.0], size=(count, n))
-    mags = rng.gamma(1.0 / p, 1.0, size=(count, n)) ** (1.0 / p)
-    X = signs * mags
-    norms = np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
-    return X / norms[:, None]
-
-
-def brute_force_norm(inst: ProblemInstance, restarts: int = 64, seed: int = 0,
-                     mode: str = "auto", samples: int = 1_000_000) -> float:
+def brute_force_norm(inst: ProblemInstance, restarts: int = 64, seed: int = 0) -> float:
     """Lower bound on the true p->q norm.
 
-    p = inf with small n is enumerated exactly over the sign cube.  Grid
-    mode samples the l_p sphere (up to ``samples`` points) and refines the
-    leaders by Holder ascent; multistart mode runs seeded ascents only.
+    p = inf with n <= 20 is enumerated exactly over the sign cube; anything
+    else takes the best of seeded multistart Holder ascents.
     """
     A, pair = inst.A, inst.pair
     n = A.shape[1]
-    if mode == "auto":
-        if math.isinf(pair.p) and n <= 20:
-            mode = "enumerate"
-        elif n <= 6:
-            mode = "grid"
-        else:
-            mode = "multistart"
-    if mode == "enumerate":
-        if not math.isinf(pair.p):
-            raise DomainError("sign enumeration is exact only for p = inf")
+    if math.isinf(pair.p) and n <= 20:
         return _enumerate_sign_norm(A, pair.q)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB0,)))
-    best = 0.0
-    starts = []
-    if mode == "grid":
-        if n > 6:
-            raise DomainError("grid mode supported for n <= 6")
-        X = _sample_p_sphere(rng, n, pair.p, samples)
-        vals = np.sum(np.abs(X @ A.T) ** pair.q, axis=1)
-        best = float(np.max(vals) ** (1.0 / pair.q))
-        leaders = np.argsort(vals)[-10:]
-        starts = [X[i] for i in leaders]
-    elif mode != "multistart":
-        raise DomainError(f"unknown mode {mode!r}")
-    starts += [rng.standard_normal(n) for _ in range(restarts)]
+    starts = [rng.standard_normal(n) for _ in range(restarts)]
     starts += [np.sign(rng.standard_normal(n)) for _ in range(4)]
-    for x0 in starts:
-        _, val = holder_ascent(A, pair, x0)
-        best = max(best, val)
-    return best
+    return max(holder_ascent(A, pair, x0)[1] for x0 in starts)
 
 
 def _is_count(v) -> bool:

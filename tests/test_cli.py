@@ -153,6 +153,7 @@ def test_bounds_golden_output(name, argv, capsys):
     ("check_conditions_grid21.jsonl", ["check-conditions", "--grid", "21"]),
     ("certify_defect_grid21.jsonl", ["certify-defect", "--grid", "21"]),
     ("verify_contours.jsonl", ["verify", "contours"]),
+    ("verify_identities.jsonl", ["verify", "identities"]),
 ])
 def test_certification_golden_output(name, argv, capsys):
     # byte for byte the committed output, which pins the grid reversion's
@@ -173,6 +174,7 @@ def test_certification_golden_output(name, argv, capsys):
     (["check-conditions"], "--in"), (["check-conditions"], "--tol"),
     (["certify-defect"], "--samples"), (["certify-defect"], "--seed"),
     (["certify-defect"], "--in"), (["certify-defect"], "--tol"),
+    (["verify", "identities"], "--samples"),
 ])
 def test_flag_the_command_does_not_read_is_exit_2(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -351,10 +353,16 @@ class TestVerify:
         assert "C1(k=29)" in targets and "defect-certificate" in targets
 
     def test_identities_suite_small(self, capsys):
-        code, out = run_main(["verify", "identities", "--samples", "50000"], capsys)
+        code, out = run_main(["verify", "identities"], capsys)
         assert code == 0
         recs = [json.loads(l) for l in out.strip().splitlines()]
         assert sum("correlation" in r["target"] for r in recs) >= 48
+
+    def test_identities_suite_draws_nothing_from_the_seed(self, capsys):
+        # quadrature, not Monte Carlo: --seed (read by the factorization
+        # suite) leaves the output byte for byte the same
+        outs = [run_main(["verify", "identities", "--seed", seed], capsys) for seed in ("0", "5")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
     def test_domain_error_is_exit_2(self, capsys):
         # order below k_max makes the conditions check impossible

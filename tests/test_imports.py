@@ -1,7 +1,7 @@
 """The package's import surface.  Every exported name resolves, and scipy
-stays off the import path: only the contour suite (its Gauss-Jacobi nodes,
-from scipy.special) and the identity suite (scipy.integrate) need it, and
-loading it costs more than most commands take to run.
+stays off the import path: only the contour and identity suites need it,
+for the Gauss-Jacobi nodes of scipy.special, and loading it costs more than
+most commands take to run.  Neither loads scipy.integrate.
 
 The scipy cases run in a fresh interpreter, since this test process has
 scipy loaded already."""
@@ -62,10 +62,12 @@ def test_contour_rule_loads_scipy_on_call():
     assert "scipy.special" in scipy_modules_after(code)
 
 
-def test_contours_load_no_scipy_integrate(tmp_path):
-    # the points next to the branch point take the graded Gauss rule, so the
-    # contour suite needs the Gauss-Jacobi nodes and no adaptive quadrature
-    argv = ["verify", "contours", "--out", str(tmp_path / "out.txt")]
+@pytest.mark.parametrize("suite", ["contours", "identities"])
+def test_contours_load_no_scipy_integrate(suite, tmp_path):
+    # the points next to the branch point take the graded Gauss rule, and the
+    # identities take Gauss-Jacobi and Gauss-Laguerre rules, so both suites
+    # need the Gauss-Jacobi nodes and no adaptive quadrature
+    argv = ["verify", suite, "--out", str(tmp_path / "out.txt")]
     code = f"from pqnorm.cli import main\nassert main({argv!r}) == 0"
     loaded = scipy_modules_after(code)
     assert "scipy.special" in loaded

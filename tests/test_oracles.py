@@ -6,6 +6,7 @@ import pytest
 from pqnorm.errors import AccuracyError, DomainError
 from pqnorm.krivine import inverse_coeff_grid
 from pqnorm.oracles import (
+    _gauss_laguerre,
     beta_bound_expression,
     contour_inverse_coeff,
     contour_magnitude_check,
@@ -15,7 +16,10 @@ from pqnorm.oracles import (
     hermite_coeff_reference,
     mc_f_ab,
     noise_correlation_crosscheck,
+    polar_f_ab,
 )
+
+LATTICE = (0.0, 0.3, 0.7, 1.0)
 
 
 class TestMonteCarloCorrelation:
@@ -66,6 +70,56 @@ class TestMonteCarloCorrelation:
             mc_f_ab(0.2, 0.2, 0.5, N=100)
         with pytest.raises(DomainError):
             mc_f_ab(0.2, 0.2, 1.5, N=10**4)
+
+
+class TestPolarCorrelation:
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8, 0.0, -0.5, -0.8])
+    def test_lattice_matches_closed_form(self, rho):
+        for a in LATTICE:
+            for b in LATTICE:
+                est = polar_f_ab(a, b, rho)
+                assert abs(est - correlation_reference(a, b, rho)) <= 1e-12, (a, b)
+
+    def test_generic_point_of_the_2d_quadrature_check(self):
+        # the point test_generic_point_cross_checked_by_quadrature pins with quad
+        assert abs(polar_f_ab(0.3, 0.7, 0.6) - correlation_reference(0.3, 0.7, 0.6)) <= 1e-12
+
+    def test_grothendieck_identity_and_symmetry(self):
+        # (2/pi) arcsin(rho) at a = b = 0, and odd in rho
+        assert polar_f_ab(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert polar_f_ab(0.3, 0.7, -0.4) == pytest.approx(-polar_f_ab(0.3, 0.7, 0.4),
+                                                          abs=1e-15)
+
+    def test_full_correlation_is_the_absolute_moment(self):
+        # g1 = +-g2: +-E|g|^{a+b}, and E|g| = sqrt(2/pi)
+        assert polar_f_ab(0.3, 0.7, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
+        assert polar_f_ab(0.0, 0.0, -1.0) == -1.0
+
+    @pytest.mark.parametrize("rho", [1.5, -1.0000001, math.nan])
+    def test_correlation_outside_unit_interval_is_a_domain_error(self, rho):
+        with pytest.raises(DomainError, match="correlation"):
+            polar_f_ab(0.2, 0.2, rho)
+
+
+class TestGaussLaguerre:
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_matches_numpy_at_alpha_zero(self, n):
+        s, w = _gauss_laguerre(n, 0.0)
+        s_ref, w_ref = np.polynomial.laguerre.laggauss(n)
+        np.testing.assert_allclose(s, s_ref, rtol=1e-13)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12)
+
+    def test_weights_sum_to_gamma(self):
+        # int_0^inf s^alpha e^-s ds = Gamma(alpha + 1)
+        _, w = _gauss_laguerre(24, 0.35)
+        assert w.sum() == pytest.approx(math.gamma(1.35), rel=1e-14)
+
+    @pytest.mark.parametrize("c", LATTICE)
+    def test_hermite_coefficients_to_1e12_up_to_k_35(self, c):
+        for k in range(36):
+            val, err = hermite_coeff_numeric(c, k)
+            assert abs(val - hermite_coeff_reference(c, k)) <= 1e-12, k
+            assert err <= 1e-12, k
 
 
 class TestHermite:

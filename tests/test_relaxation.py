@@ -169,14 +169,6 @@ class TestBruteForce:
         ref = lp_norm(u, pair.q) * lp_norm(v, pair.p_star)
         assert brute_force_norm(inst, seed=3) == pytest.approx(ref, rel=1e-9)
 
-    def test_grid_mode_agrees_with_multistart(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((4, 3))
-        inst = ProblemInstance(A, NormPair(4.0, 4.0 / 3.0))
-        g = brute_force_norm(inst, mode="grid", samples=200_000, seed=5)
-        ms = brute_force_norm(inst, mode="multistart", seed=6)
-        assert g == pytest.approx(ms, rel=1e-7)
-
 
 class TestMatrixIO:
     def test_csv_round_trip(self, tmp_path):

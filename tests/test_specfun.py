@@ -249,15 +249,15 @@ class TestEulerContinuationArray:
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.95, 0.95), (0.3, 0.999)])
     def test_matches_scalar_calls(self, a, b):
-        # the contour includes z = 1 - 1e-4, which goes through the quad fallback
+        # the contour includes z = 1 - 1e-4, which goes through the graded rule
         val = euler_continuation(self.CONTOUR, a, b)
         assert all(v == euler_continuation(z, a, b) for z, v in zip(self.CONTOUR, val))
         assert type(euler_continuation(self.CONTOUR[3], a, b)) is complex
 
     @pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 0.75, 0.95])
     def test_batched_exponents_match_scalar_exponent_calls(self, b):
-        # bit for bit, including z = 1 - 1e-4, which goes through the quad
-        # fallback at its own a
+        # bit for bit, including z = 1 - 1e-4, which goes through the graded
+        # rule at its own a
         a = np.array([0.0, 0.25, 0.5, 0.75, 0.95, 0.2, 0.999])
         val = euler_continuation(self.CONTOUR[None, :], a[:, None], b)
         assert val.shape == (a.size, self.CONTOUR.size)
