@@ -66,7 +66,7 @@ def test_contour_rule_loads_scipy_on_call():
 def test_contours_load_no_scipy_integrate(suite, tmp_path):
     # the points next to the branch point take the graded Gauss rule, and the
     # identities take Gauss-Jacobi and Gauss-Laguerre rules, so both suites
-    # need the Gauss-Jacobi nodes and no adaptive quadrature
+    # need scipy.special's Gauss nodes and no adaptive quadrature
     argv = ["verify", suite, "--out", str(tmp_path / "out.txt")]
     code = f"from pqnorm.cli import main\nassert main({argv!r}) == 0"
     loaded = scipy_modules_after(code)

@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from pqnorm.errors import AccuracyError, DomainError
 from pqnorm.krivine import inverse_coeff_grid
 from pqnorm.oracles import (
-    _gauss_laguerre,
     beta_bound_expression,
     contour_inverse_coeff,
     contour_magnitude_check,
@@ -95,6 +95,16 @@ class TestPolarCorrelation:
         assert polar_f_ab(0.3, 0.7, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
         assert polar_f_ab(0.0, 0.0, -1.0) == -1.0
 
+    @pytest.mark.parametrize("rho", [0.99, 0.999, -0.999])
+    def test_near_full_correlation_against_mpmath(self, rho):
+        # correlation_reference truncates its series too early here
+        for a in LATTICE:
+            for b in LATTICE:
+                ref = (math.gamma(1.0 + a / 2.0) * math.gamma(1.0 + b / 2.0)
+                       * 2.0 ** ((a + b) / 2.0 + 1.0) / math.pi
+                       * rho * float(mpmath.hyp2f1((1 - a) / 2, (1 - b) / 2, 1.5, rho * rho)))
+                assert abs(polar_f_ab(a, b, rho) - ref) <= 1e-12 * abs(ref), (a, b)
+
     @pytest.mark.parametrize("rho", [1.5, -1.0000001, math.nan])
     def test_correlation_outside_unit_interval_is_a_domain_error(self, rho):
         with pytest.raises(DomainError, match="correlation"):
@@ -102,18 +112,6 @@ class TestPolarCorrelation:
 
 
 class TestGaussLaguerre:
-    @pytest.mark.parametrize("n", [8, 16, 24])
-    def test_matches_numpy_at_alpha_zero(self, n):
-        s, w = _gauss_laguerre(n, 0.0)
-        s_ref, w_ref = np.polynomial.laguerre.laggauss(n)
-        np.testing.assert_allclose(s, s_ref, rtol=1e-13)
-        np.testing.assert_allclose(w, w_ref, rtol=1e-12)
-
-    def test_weights_sum_to_gamma(self):
-        # int_0^inf s^alpha e^-s ds = Gamma(alpha + 1)
-        _, w = _gauss_laguerre(24, 0.35)
-        assert w.sum() == pytest.approx(math.gamma(1.35), rel=1e-14)
-
     @pytest.mark.parametrize("c", LATTICE)
     def test_hermite_coefficients_to_1e12_up_to_k_35(self, c):
         for k in range(36):
