@@ -66,10 +66,10 @@ def cmd_bounds(args) -> int:
     else:
         ps = [pval]
     if args.q_text == "dual":
-        reports = krivine.bounds_sweep(ps, q_rule="dual", K=args.order, tol=args.tol)
+        pairs = [krivine.NormPair(p, krivine.dual_exponent(p)) for p in ps]
     else:
-        reports = krivine.bounds_sweep(ps, q_rule="fixed", K=args.order,
-                                       q_fixed=float(args.q_text), tol=args.tol)
+        pairs = [krivine.NormPair(p, float(args.q_text)) for p in ps]
+    reports = krivine.bounds_sweep(pairs, K=args.order, tol=args.tol)
     header = "p,q,a,b,c_ab,ratio,krivine_ratio,steinberg_ratio,K,tail_bound"
     lines = [header]
     for rep in reports:
@@ -149,12 +149,15 @@ def _suite_identities(args):
             yield _identity(res.target, res.estimate, res.reference, 1e-5)
 
 
-def _suite_conditions(args):
-    cg = krivine.inverse_coeff_grid(args.grid, args.order)  # one reversion for all three
-    rep = krivine.check_conditions(cg)
+def _condition_lines(rep: krivine.ConditionsReport):
     for m in rep.margins:
         yield _check(f"{m.kind}(k={m.k})", m.passed, worst_margin=m.worst_margin,
                      at_a=m.at_a, at_b=m.at_b)
+
+
+def _suite_conditions(args):
+    cg = krivine.inverse_coeff_grid(args.grid, args.order)  # one reversion for all three
+    yield from _condition_lines(krivine.check_conditions(cg))
     cert = krivine.certify_defect(cg)
     yield _check("defect-certificate", cert.ok, h_err_max=cert.h_err_max,
                  rho_certified=cert.rho_certified,
@@ -230,11 +233,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     rep = krivine.check_conditions(krivine.inverse_coeff_grid(args.grid, args.order))
-    lines = [_dumps({
-        "target": f"{m.kind}(k={m.k})", "pass": m.passed,
-        "worst_margin": m.worst_margin, "at_a": m.at_a, "at_b": m.at_b,
-    }) for m in rep.margins]
-    _emit(lines, args.out_path)
+    _emit([_dumps(rec) for rec in _condition_lines(rep)], args.out_path)
     return 0 if rep.all_pass else 1
 
 

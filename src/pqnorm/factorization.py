@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .krivine import NormPair
+from .krivine import NormPair, dual_exponent
 from .relaxation import ProblemInstance, RelaxationSolution, lp_norm
 
 #: solve_dual fails below this lambda_min after the repair
@@ -16,19 +16,9 @@ _FEASIBILITY_TOL = 1e-9
 _NORM_MARGIN = 1e-6
 
 
-def _dual_exponent(r: float) -> float:
-    if math.isinf(r):
-        return 1.0
-    if r == 1.0:
-        return math.inf
-    return r / (r - 1.0)
-
-
 def _outer_exponents(pair: NormPair):
     """Norms of the dual objective: ||s||_{(q*/2)*} and ||t||_{(p/2)*}."""
-    alpha = _dual_exponent(pair.q_star / 2.0) if not math.isinf(pair.q_star) else 1.0
-    beta = _dual_exponent(pair.p / 2.0) if not math.isinf(pair.p) else 1.0
-    return alpha, beta
+    return dual_exponent(pair.q_star / 2.0), dual_exponent(pair.p / 2.0)
 
 
 def _scaled(A: np.ndarray, s: np.ndarray, t: np.ndarray):

@@ -20,6 +20,15 @@ KRIVINE_RATIO = math.pi / (2.0 * math.asinh(1.0))
 _CONDITION_TOL = 1e-12
 
 
+def dual_exponent(r: float) -> float:
+    """The Holder conjugate r / (r - 1) of r >= 1, with 1* = inf and inf* = 1."""
+    if math.isinf(r):
+        return 1.0
+    if r == 1.0:
+        return math.inf
+    return r / (r - 1.0)
+
+
 @dataclass(frozen=True)
 class NormPair:
     """Exponent pair with 1 <= q <= 2 <= p <= inf and a = p*-1, b = q-1."""
@@ -35,11 +44,11 @@ class NormPair:
 
     @property
     def p_star(self) -> float:
-        return 1.0 if math.isinf(self.p) else self.p / (self.p - 1.0)
+        return dual_exponent(self.p)
 
     @property
     def q_star(self) -> float:
-        return math.inf if self.q == 1.0 else self.q / (self.q - 1.0)
+        return dual_exponent(self.q)
 
     @property
     def a(self) -> float:
@@ -347,24 +356,12 @@ def hhat_grid_max(cg: CoeffGrid, x0: float) -> float:
     return float(np.max(series.odd_horner(np.abs(cg.G), x0)))
 
 
-def bounds_sweep(p_values, q_rule: str = "dual", K: int = CERT_ORDER,
-                 q_fixed: Optional[float] = None, tol: float = 1e-4):
-    """BoundReports for a sweep over p; q is p* under the default rule.
+def bounds_sweep(pairs, K: int = CERT_ORDER, tol: float = 1e-4):
+    """BoundReports for a list of NormPairs, in order.
 
     All pairs share one reversion and one row-wise bisection; each row is
     bit for bit what :func:`approx_ratio` gives its pair.  ``tol`` certifies
     each c_ab, and the first pair in order that fails raises."""
-    pairs = []
-    for p in p_values:
-        if q_rule == "dual":
-            q = 1.0 if math.isinf(p) else p / (p - 1.0)
-        elif q_rule == "fixed":
-            if q_fixed is None:
-                raise DomainError("fixed q-rule needs q_fixed")
-            q = q_fixed
-        else:
-            raise DomainError(f"unknown q rule {q_rule!r}")
-        pairs.append(NormPair(p=p, q=q))
     if not pairs:
         return []
     c, G, tail = _solve_c(pairs, K, tol)

@@ -201,10 +201,11 @@ def test_criterion_11_factorization():
 
 def test_criterion_12_figure_slice():
     ps = [4.0, 5.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 66.0]
-    reports = krivine.bounds_sweep(ps, q_rule="dual", K=60)
+    reports = krivine.bounds_sweep([NormPair(p, krivine.dual_exponent(p)) for p in ps], K=60)
     for rep in reports:
         assert rep.ratio < rep.krivine_ratio, rep.pair.p
-    near_inf = krivine.bounds_sweep([100.0, 1000.0], q_rule="dual", K=60)
+    far = [NormPair(p, krivine.dual_exponent(p)) for p in (100.0, 1000.0)]
+    near_inf = krivine.bounds_sweep(far, K=60)
     for rep in near_inf:
         assert rep.ratio < rep.steinberg_ratio, rep.pair.p
     _report(12, "ratio below Krivine's on sampled p in [4, 66]; below Steinberg's near inf")

@@ -16,6 +16,7 @@ from pqnorm.krivine import (
     certify_defect,
     check_conditions,
     compute_c_ab,
+    dual_exponent,
     f_bar_w_coeffs,
     hhat_grid_max,
     inverse_coeff_grid,
@@ -35,6 +36,17 @@ class TestNormPair:
         pair = NormPair(p=4.0, q=4.0 / 3.0)
         assert pair.a == pytest.approx(1.0 / 3.0)
         assert pair.b == pytest.approx(1.0 / 3.0)
+
+    def test_dual_exponent_is_every_conjugate(self):
+        # p*, q* and the dual-q sweep rule, bit for bit the formulas each
+        # used to write out: 1 at r = inf, inf at r = 1, r / (r - 1) between
+        assert dual_exponent(math.inf) == 1.0 and dual_exponent(1.0) == math.inf
+        for p in list(np.geomspace(2.0, 1e6, 57)) + [math.inf]:
+            q = 1.0 if math.isinf(p) else p / (p - 1.0)
+            assert NormPair(p, q).p_star == dual_exponent(p) == q
+        for q in np.linspace(1.0, 2.0, 41):
+            q_star = math.inf if q == 1.0 else q / (q - 1.0)
+            assert NormPair(4.0, q).q_star == dual_exponent(q) == q_star
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -429,13 +441,19 @@ class TestCoeffGrid:
             inverse_coeff_grid(grid, K=60)
 
 
+def dual_pairs(ps):
+    """The pairs (p, p*) of the CLI's default --q dual."""
+    return [NormPair(p, dual_exponent(p)) for p in ps]
+
+
 class TestSweep:
     @pytest.mark.parametrize("q_rule,q_fixed,hi", [("dual", None, 100.0), ("fixed", 1.5, 32.0)])
     def test_rows_equal_single_pair_solves(self, q_rule, q_fixed, hi):
         # the default sweep and --q 1.5 on 2:32: one batched solve gives
         # every row what the one-row solve gives its pair, bit for bit
         ps = list(np.geomspace(2.0, hi, 101)) + [math.inf]
-        reports = bounds_sweep(ps, q_rule=q_rule, q_fixed=q_fixed)
+        pairs = dual_pairs(ps) if q_rule == "dual" else [NormPair(p, q_fixed) for p in ps]
+        reports = bounds_sweep(pairs)
         assert [rep.pair.p for rep in reports] == ps
         for rep in reports:
             c, g, tail = compute_c_ab(rep.pair)
@@ -452,14 +470,14 @@ class TestSweep:
             return revert_batch(F)
 
         monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
-        bounds_sweep([2.0, 4.0, 8.0, math.inf])
+        bounds_sweep(dual_pairs([2.0, 4.0, 8.0, math.inf]))
         assert rows == [4]
 
     def test_first_uncertified_pair_raises(self):
         # at tol 1e-9 the tails of p = 8 (4e-15) pass, those of p = 3
         # (1.2e-7) and 2.5 (5e-6) do not: the error is p = 3's
         with pytest.raises(CertificationError) as exc:
-            bounds_sweep([8.0, 3.0, 2.5, 16.0], tol=1e-9)
+            bounds_sweep(dual_pairs([8.0, 3.0, 2.5, 16.0]), tol=1e-9)
         with pytest.raises(CertificationError) as one:
             compute_c_ab(NormPair(p=3.0, q=1.5), tol=1e-9)
         assert str(exc.value) == str(one.value)
@@ -473,7 +491,7 @@ class TestSweep:
 
     def test_figure_slice(self):
         ps = [2.0, 4.0, 8.0, 32.0, 64.0, math.inf]
-        reports = bounds_sweep(ps, q_rule="dual", K=60)
+        reports = bounds_sweep(dual_pairs(ps), K=60)
         for rep in reports:
             if 4.0 <= rep.pair.p <= 66.0:
                 assert rep.ratio < rep.krivine_ratio

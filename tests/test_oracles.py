@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqnorm.errors import AccuracyError, DomainError
-from pqnorm.krivine import inverse_coeff_grid
+from pqnorm.krivine import NormPair, f_bar_w_coeffs, inverse_coeff_grid
 from pqnorm.oracles import (
     beta_bound_expression,
     contour_inverse_coeff,
@@ -18,6 +18,8 @@ from pqnorm.oracles import (
     noise_correlation_crosscheck,
     polar_f_ab,
 )
+from pqnorm.series import odd_horner
+from pqnorm.specfun import gaussian_moment_pow
 
 LATTICE = (0.0, 0.3, 0.7, 1.0)
 
@@ -70,6 +72,30 @@ class TestMonteCarloCorrelation:
             mc_f_ab(0.2, 0.2, 0.5, N=100)
         with pytest.raises(DomainError):
             mc_f_ab(0.2, 0.2, 1.5, N=10**4)
+
+
+class TestCorrelationReference:
+    @pytest.mark.parametrize("rho", [0.95, 0.99, -0.99, 0.999])
+    def test_cut_tail_past_1e13_is_accuracy_error(self, rho):
+        # at a = b = 0 the normalised series is arcsin(rho); the bound on the
+        # cut tail must cover what the K = 400 partial sum misses of it
+        with pytest.raises(AccuracyError, match="tail") as exc:
+            correlation_reference(0.0, 0.0, rho)
+        assert abs(exc.value.achieved - math.asin(rho)) <= exc.value.error_estimate
+        assert exc.value.error_estimate > 1e-13 * abs(exc.value.achieved)
+
+    def test_lattice_keeps_the_series_value(self):
+        # up to rho = 0.8 the check passes and leaves the K = 400 value alone
+        for a in LATTICE:
+            for b in LATTICE:
+                pair = NormPair.from_ab(a, b)
+                F = f_bar_w_coeffs(pair.a, pair.b, 199)
+                for rho in (0.2, 0.5, 0.8, -0.8):
+                    series = gaussian_moment_pow(a + 1.0) * gaussian_moment_pow(b + 1.0) \
+                        * float(odd_horner(F, rho))
+                    assert correlation_reference(a, b, rho) == series, (a, b, rho)
+        assert correlation_reference(0.0, 0.0, 0.8) == pytest.approx(
+            2.0 / math.pi * math.asin(0.8), abs=1e-15)
 
 
 class TestPolarCorrelation:
