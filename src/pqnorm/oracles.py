@@ -1,7 +1,7 @@
 """Independent numeric verification of the identities behind the bounds:
-quadrature and Monte-Carlo checks of the correlation formula, quadrature
-checks of the Hermite coefficients, contour magnitude checks, and a
-contour-integral oracle for the inverse-series coefficients."""
+quadrature checks of the correlation formula and of the Hermite
+coefficients, contour magnitude checks, and a contour-integral oracle for
+the inverse-series coefficients."""
 
 import math
 from dataclasses import dataclass
@@ -12,8 +12,8 @@ from numpy.polynomial import hermite_e
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, f_bar_w_coeffs
 from .series import odd_horner
-from .specfun import (_gauss_jacobi, _on_excluded_ray, euler_continuation, gamma_fn,
-                      gaussian_moment_pow)
+from .specfun import (_gauss_jacobi, _gauss_laguerre, _on_excluded_ray, euler_continuation,
+                      gamma_fn, gaussian_moment_pow)
 
 # numpy renamed trapz to trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -35,7 +35,7 @@ class IdentityCheckResult:
 
 def correlation_reference(a: float, b: float, rho: float, K: int = 400) -> float:
     """gamma_{a+1}^{a+1} gamma_{b+1}^{b+1} * rho * 2F1(...; rho^2), the
-    closed form the quadrature and Monte Carlo are checked against.
+    closed form the quadrature is checked against.
 
     The series is cut at order K.  Every ratio of consecutive coefficients
     F[m+1] / F[m] is below 1, so the cut tail is at most
@@ -89,26 +89,6 @@ def polar_f_ab(a: float, b: float, rho: float) -> float:
     return radial * (piece(math.pi - phi, b, a) - piece(phi, a, b)) / math.pi
 
 
-def mc_f_ab(a: float, b: float, rho: float, N: int, seed: int = 0) -> IdentityCheckResult:
-    """Monte Carlo estimate of E sgn(g1)|g1|^a sgn(g2)|g2|^b over
-    rho-correlated standard Gaussians, versus the hypergeometric formula."""
-    if N < 10_000:
-        raise DomainError("need N >= 1e4 samples")
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError("correlation must lie in [-1, 1]")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
-    g2 = rng.standard_normal(N)
-    g3 = rng.standard_normal(N)
-    g1 = rho * g2 + math.sqrt(max(0.0, 1.0 - rho * rho)) * g3
-    prod = np.sign(g1) * np.abs(g1) ** a * np.sign(g2) * np.abs(g2) ** b
-    return IdentityCheckResult(
-        target=f"correlation(a={a:g},b={b:g},rho={rho:g})",
-        estimate=float(prod.mean()),
-        reference=correlation_reference(a, b, rho),
-        std_error=float(prod.std() / math.sqrt(N)),
-    )
-
-
 def hermite_coeff_reference(c: float, k: int) -> float:
     """Closed form for the k-th (orthonormal) Hermite coefficient of
     sgn(tau)|tau|^c: zero for even k, and for k = 2j+1
@@ -133,13 +113,11 @@ def hermite_coeff_numeric(c: float, k: int):
     exactly for k <= 95.  What remains is rounding, so the error estimate
     returned with the value is its scale: eps times the sum of |w_i P(s_i)|.
     """
-    from scipy.special import roots_genlaguerre
-
     if k % 2 == 0:
         return 0.0, 0.0
     coef = np.zeros(k + 1)
     coef[k] = 1.0
-    s, w = roots_genlaguerre(24, c / 2.0)
+    s, w = _gauss_laguerre(24, c / 2.0)
     t = np.sqrt(2.0 * s)
     terms = w * hermite_e.hermeval(t, coef) / t
     scale = 2.0 ** (c / 2.0) * math.sqrt(2.0 / math.pi) / math.sqrt(math.factorial(k))

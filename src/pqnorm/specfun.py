@@ -83,11 +83,22 @@ _GRADED_NODES = (20, 16)
 #: width ratio of neighbouring panels of the graded rule, and its panel levels
 _GRADE_RATIO = 0.25
 _GRADE_LEVELS = 28
+#: node rules each builder keeps per process, a few kB each (verify all uses 36)
+_RULE_CACHE = 64
 
 
+def _read_only(*arrays):
+    """The arrays of a cached rule, locked: every caller shares them."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE)
 def _gauss_jacobi(n: int, alpha: float, beta: float):
     """Nodes and weights of the n-point Gauss rule for (1-x)^alpha (1+x)^beta
-    on [-1, 1], scaled so the weights sum to 1.
+    on [-1, 1], scaled so the weights sum to 1, as read-only arrays built once
+    per process.
 
     The nodes are scipy's; the weights are the Christoffel numbers
     1 / sum_k p_k(x)^2 of the orthonormal Jacobi polynomials.  scipy's own
@@ -113,9 +124,19 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
         p_prev, p = p, ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
         acc += p * p
     w = 1.0 / acc
-    return x, w / w.sum()
+    return _read_only(x, w / w.sum())
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE)
+def _gauss_laguerre(n: int, alpha: float):
+    """Nodes and weights of the n-point Gauss rule for s^alpha e^{-s} on
+    [0, inf), scipy's, as read-only arrays built once per process."""
+    from scipy.special import roots_genlaguerre
+
+    return _read_only(*roots_genlaguerre(n, alpha))
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE)
 def _euler_rule(n: int, b: float):
     """The n-point rule for the normalised Euler integral along the parabola
     t(s) = s (1 + i (1 - s)): the t-values at the nodes and the weights times
@@ -126,28 +147,28 @@ def _euler_rule(n: int, b: float):
     bend = 1.0 + 1j * (1.0 - s)
     t = s * bend
     path = (1.0 - 1j * s) ** (b / 2.0) * bend ** (-(1.0 + b) / 2.0) * (1.0 + 1j * (1.0 - 2.0 * s))
-    return t, w * path
+    return _read_only(t, w * path)
 
 
-def _graded_rule(gauss, n: int, expo: float):
+@functools.lru_cache(maxsize=_RULE_CACHE)
+def _graded_rule(n: int, expo: float):
     """One side of the graded fallback rule, n nodes per panel: nodes v in
-    (0, 1) and weights, from the Gauss rules of ``gauss``.  The panels shrink
-    by _GRADE_RATIO toward v = 0, over _GRADE_LEVELS levels.  The panel
-    [_GRADE_RATIO, 1] is Gauss-Jacobi, its weight absorbing (1-v)^expo;
-    every other panel is Gauss-Legendre, with that factor folded into its
-    weights."""
-    x, w = gauss(n, 0.0, 0.0)
+    (0, 1) and weights, as read-only arrays.  The panels shrink by
+    _GRADE_RATIO toward v = 0, over _GRADE_LEVELS levels.  The panel
+    [_GRADE_RATIO, 1] is Gauss-Jacobi, its weight absorbing (1-v)^expo; every
+    other panel is Gauss-Legendre, with that factor folded into its weights."""
+    x, w = _gauss_jacobi(n, 0.0, 0.0)
     hi = _GRADE_RATIO ** np.arange(1, _GRADE_LEVELS + 1)
     lo = np.append(hi[1:], 0.0)
     v = (lo[:, None] + (hi - lo)[:, None] * (1.0 + x) / 2.0).ravel()
     wv = ((hi - lo)[:, None] * w).ravel()
-    xj, wj = gauss(n, expo, 0.0)
+    xj, wj = _gauss_jacobi(n, expo, 0.0)
     vj = _GRADE_RATIO + (1.0 - _GRADE_RATIO) * (1.0 + xj) / 2.0
     wj = wj * (1.0 - _GRADE_RATIO) ** (1.0 + expo) / (1.0 + expo)
-    return np.concatenate([vj, v]), np.concatenate([wj, wv * (1.0 - v) ** expo])
+    return _read_only(np.concatenate([vj, v]), np.concatenate([wj, wv * (1.0 - v) ** expo]))
 
 
-def _euler_graded(z, power, b: float, gauss):
+def _euler_graded(z, power, b: float):
     """The continuation at the points ``z``, each with its own exponent
     ``power`` = -(1-a)/2, by graded rules (see _graded_rule) on the real
     segment, in s = sqrt(t):  2 int_0^1 (1-s^2)^{b/2} s^{-b}
@@ -169,11 +190,11 @@ def _euler_graded(z, power, b: float, gauss):
     for n in _GRADED_NODES:
         # [0, 1] splits at c: s = c (1 - v) to its left, s = c + (1 - c) v to
         # its right, and u = 1 - s keeps its digits next to s = 1
-        v, wt = _graded_rule(gauss, n, -b)
+        v, wt = _graded_rule(n, -b)
         s, u = c * (1.0 - v), (1.0 - c) + c * v
         val = c[:, 0] ** (1.0 - b) * side(s, u, u ** (b / 2.0), wt)
         if (c < 1.0).any():  # the right side is empty at c = 1 and adds 0
-            v, wt = _graded_rule(gauss, n, b / 2.0)
+            v, wt = _graded_rule(n, b / 2.0)
             s, u = c + (1.0 - c) * v, (1.0 - c) * (1.0 - v)
             val = val + (1.0 - c[:, 0]) ** (1.0 + b / 2.0) * side(s, u, s ** -b, wt)
         vals.append(val)
@@ -222,11 +243,13 @@ def euler_continuation(z, a, b: float):
     (1-s)^{b/2}, the rest Gauss-Legendre, and 1 - z^2 s^2 is formed as a
     product of two factors that keep their digits next to the branch point.
     Its 20- and 16-node values must agree to 1e-9 relative, or AccuracyError
-    is raised.  Each call builds its node rules (a few ms), once, so pass
-    many points and exponents as one array.
+    is raised.  The node rules are built once per process (a few ms each)
+    and shared by every later call; pass many points and exponents as one
+    array, which shares each log across every ``a``.
     """
     if np.ndim(b) != 0 or not 0 <= b < 1:
         raise DomainError(f"exponent b must be a scalar in [0,1), got b={b}")
+    b = float(b)  # a key of the cached node rules
     scalar = np.ndim(z) == 0 and np.ndim(a) == 0
     z_in = np.asarray(z, dtype=complex)
     z, a = np.broadcast_arrays(z_in, np.asarray(a, dtype=float))
@@ -248,7 +271,6 @@ def euler_continuation(z, a, b: float):
     todo = np.flatnonzero(flat)
     if todo.size:
         rules = [_euler_rule(n, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
-        gauss = functools.cache(_gauss_jacobi)  # the graded rules: each built once, if needed
         for lo in range(0, todo.size, _GJ_BLOCK):
             idx = todo[lo:lo + _GJ_BLOCK]
             distinct, of = np.unique(z_of[idx], return_inverse=True)
@@ -264,7 +286,7 @@ def euler_continuation(z, a, b: float):
             out[idx[ok]] = flat[idx[ok]] * full[ok]
             miss = idx[~ok]
             if miss.size:
-                out[miss] = _euler_graded(flat[miss], power[miss], b, gauss)
+                out[miss] = _euler_graded(flat[miss], power[miss], b)
     if scalar:
         return complex(out[0])
     return out.reshape(z.shape)

@@ -12,7 +12,7 @@ import numpy as np
 from pqnorm import krivine, series
 from pqnorm.factorization import build_certificate, solve_dual
 from pqnorm.krivine import NormPair, approx_ratio, certify_defect, check_conditions, compute_c_ab
-from pqnorm.oracles import beta_bound_expression, contour_magnitude_check, hermite_coeff_check, mc_f_ab
+from pqnorm.oracles import beta_bound_expression, contour_magnitude_check, hermite_coeff_check
 from pqnorm.relaxation import ProblemInstance, brute_force_norm, solve_cp
 from pqnorm.rounding import build_transformed_gram, rounding_identity_stats, sample_round
 
@@ -100,7 +100,7 @@ def test_criterion_05_conditions_grid():
                f"{worst_eq:.1e}, {elapsed:.1f} s")
 
 
-def test_criterion_06_monte_carlo_identities():
+def test_criterion_06_monte_carlo_identities(mc_f_ab):
     t0 = time.perf_counter()
     worst = 0.0
     for i, a in enumerate((0.0, 0.3, 0.7, 1.0)):

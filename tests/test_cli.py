@@ -372,19 +372,21 @@ class TestVerify:
         code, _ = run_main(["verify", "conditions", "--grid", "5", "--order", "0"], capsys)
         assert code == 2
 
-    def test_contours_make_one_continuation_call_per_b(self, monkeypatch, capsys):
+    def test_contours_make_one_continuation_call_per_b(self, monkeypatch, capsys, cold_rules):
         # 25 (a, b) pairs of 50 contour points: one continuation call per b
-        # covers all five a, and builds its two node rules once; the points
-        # next to the branch point go to the graded rule in one call.  All of
-        # them lie left of their grading point c = 1, so that call builds a
-        # Gauss-Legendre and an s^{-b} Gauss-Jacobi rule at 20 and at 16
-        # nodes (one rule each at b = 0).  The three inversion-formula pairs
-        # evaluate their correlation series once each, for all four k.
+        # covers all five a, and the points next to the branch point go to
+        # the graded rule in one call.  From cold, the command builds each
+        # b's two main rules, the Gauss-Legendre panels at 20 and at 16 nodes
+        # once for every b, and an s^{-b} Gauss-Jacobi rule at 20 and at 16
+        # nodes for each b > 0 (all points lie left of their grading point
+        # c = 1); a second run in the same process builds none.  The three
+        # inversion-formula pairs evaluate their correlation series once
+        # each, for all four k.
         from scipy import integrate
 
         from pqnorm import oracles, specfun
 
-        calls, rules, series, quad_calls = [0], [0], [0], [0]
+        calls, series, quad_calls = [0], [0], [0]
         graded_points = []  # one list of points per graded call
 
         def count(owner, name, counter):
@@ -397,7 +399,6 @@ class TestVerify:
             monkeypatch.setattr(owner, name, wrapper)
 
         count(oracles, "euler_continuation", calls)
-        count(specfun, "_gauss_jacobi", rules)
         count(oracles, "f_bar_w_coeffs", series)
         count(integrate, "quad", quad_calls)
         graded = specfun._euler_graded
@@ -412,9 +413,24 @@ class TestVerify:
         assert calls[0] == 5
         assert len(graded_points) <= calls[0]
         assert sum(graded_points, []) == [1.0 - 1e-4] * 24
-        assert rules[0] == 2 * 5 + 4 * 4 + 2
+        assert specfun._gauss_jacobi.cache_info().misses == 2 * 5 + 2 + 2 * 4
         assert series[0] == 3
         assert quad_calls[0] == 0
+        assert run_main(["verify", "contours"], capsys)[0] == 0
+        assert specfun._gauss_jacobi.cache_info().misses == 20
+
+    def test_identities_build_each_rule_once(self, capsys, cold_rules):
+        # the 48 correlation values take two 64-node Gauss-Jacobi pieces each
+        # (96 builds before the rules were cached), from 16 distinct rules,
+        # one per ordered exponent pair of the lattice.  The Hermite checks
+        # and crosschecks take one Gauss-Laguerre rule per exponent c: the
+        # lattice's four and 0.5
+        from pqnorm import specfun
+
+        code, _ = run_main(["verify", "identities"], capsys)
+        assert code == 0
+        assert specfun._gauss_jacobi.cache_info().misses == 16
+        assert specfun._gauss_laguerre.cache_info().misses == 5
 
     def test_contours_revert_once(self, monkeypatch, capsys):
         # the three inversion-formula pairs share one reversion

@@ -296,6 +296,8 @@ class TestEulerContinuationArray:
         # the node rules depend on b alone, so b stays one scalar per call
         with pytest.raises(DomainError, match="exponent b"):
             euler_continuation(0.5j, 0.2, np.array([0.2, 0.3]))
+        # a 0-d array is one scalar, which keys the cached rules as a float
+        assert euler_continuation(0.5j, 0.2, np.array(0.3)) == euler_continuation(0.5j, 0.2, 0.3)
 
     def test_shape_and_exact_zero(self):
         z = np.array([[0.0, 0.5j, -0.3 + 0.2j], [2.0 + 1.0j, 0.0, 0.1]])
@@ -340,9 +342,9 @@ class TestEulerContinuationArray:
         graded_b = []
         graded = specfun._euler_graded
 
-        def counting(z, power, b, gauss):
+        def counting(z, power, b):
             graded_b.append(b)
-            return graded(z, power, b, gauss)
+            return graded(z, power, b)
 
         monkeypatch.setattr(specfun, "_euler_graded", counting)
         for a in self.LATTICE:
@@ -373,7 +375,7 @@ class TestEulerContinuationArray:
         z = np.array([1 - 1e-4, -(1 - 1e-9), 0.99999 - 2e-6j, 0.3 - 2.0j, -4.0 - 0.01j,
                       10 + 0.1j, 1e-8 + 1e-8j, 0.5j, 10j, 50j])
         for a in (0.0, 0.5, 0.999):
-            val = specfun._euler_graded(z, np.full(z.size, -(1 - a) / 2), b, specfun._gauss_jacobi)
+            val = specfun._euler_graded(z, np.full(z.size, -(1 - a) / 2), b)
             ref = hyp2f1_reference(z, a, b)
             assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref)), a
 
@@ -382,8 +384,7 @@ class TestEulerContinuationArray:
         # the check must refuse them rather than return the finer one
         monkeypatch.setattr(specfun, "_GRADED_NODES", (3, 2))
         with pytest.raises(AccuracyError, match="graded quadrature") as err:
-            specfun._euler_graded(np.array([0.5j, 1 - 1e-4]), np.array([-0.5, -0.25]), 0.5,
-                                  specfun._gauss_jacobi)
+            specfun._euler_graded(np.array([0.5j, 1 - 1e-4]), np.array([-0.5, -0.25]), 0.5)
         assert err.value.error_estimate > 1e-9 * abs(err.value.achieved)
 
     def test_graded_rule_weights(self):
@@ -392,14 +393,15 @@ class TestEulerContinuationArray:
         for b in (0.0, 0.5, 0.999):
             for n in specfun._GRADED_NODES:
                 for expo in (-b, b / 2):
-                    v, w = specfun._graded_rule(specfun._gauss_jacobi, n, expo)
+                    v, w = specfun._graded_rule(n, expo)
                     assert 0 < v.min() and v.max() < 1
                     assert w.sum() == pytest.approx(1 / (1 + expo), rel=1e-13)
                     assert np.dot(w, v) == pytest.approx(1 / ((1 + expo) * (2 + expo)), rel=1e-13)
 
-    def test_gauss_jacobi_legendre_case(self):
+    def test_gauss_jacobi_legendre_case(self, cold_rules):
         # alpha + beta = 0 makes the recurrence's general diagonal 0/0 at
-        # k = 0; the rule must come out warning-free as Gauss-Legendre
+        # k = 0; the rule must come out warning-free as Gauss-Legendre (built
+        # here, not taken from the cache)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x, w = specfun._gauss_jacobi(20, 0.0, 0.0)
@@ -417,3 +419,36 @@ class TestEulerContinuationArray:
                 for k in (0, 1, 2, 5, 40):
                     exact = float(mpmath.rf((1 - b) / 2, k) / mpmath.rf(1.5, k))
                     assert float(np.dot(w, t ** k)) == pytest.approx(exact, rel=1e-10)
+
+
+class TestRuleCache:
+    # one key per cached builder, as the commands call them
+    RULES = [(specfun._gauss_jacobi, (192, 0.25, -0.75)), (specfun._gauss_jacobi, (64, 0.3, 0.7)),
+             (specfun._gauss_laguerre, (24, 0.15)), (specfun._euler_rule, (96, 0.5)),
+             (specfun._graded_rule, (20, -0.5)), (specfun._graded_rule, (16, 0.25))]
+
+    @pytest.mark.parametrize("builder, key", RULES)
+    def test_cached_rule_equals_a_fresh_build(self, builder, key):
+        for cached, fresh in zip(builder(*key), builder.__wrapped__(*key)):
+            assert cached.dtype == fresh.dtype
+            assert cached.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("builder, key", RULES)
+    def test_rule_arrays_are_read_only(self, builder, key):
+        for arr in builder(*key):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert builder(*key)[0] is builder(*key)[0]
+
+    def test_a_sweep_over_b_stays_bounded(self, cold_rules):
+        # one rule more than the cache holds evicts the oldest, which the
+        # next call builds again
+        rule = specfun._gauss_jacobi
+        size = specfun._RULE_CACHE
+        for i in range(size + 1):
+            rule(4, i / (size + 1), 0.0)
+        assert rule.cache_info().currsize == size
+        rule(4, 0.0, 0.0)
+        assert rule.cache_info().misses == size + 2
+        rule(4, size / (size + 1), 0.0)  # the newest stays
+        assert rule.cache_info().misses == size + 2
