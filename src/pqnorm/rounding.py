@@ -11,11 +11,10 @@ from .errors import AccuracyError, DomainError
 from .krivine import NormPair
 from .relaxation import ProblemInstance, RelaxationSolution, _holder_rows, unit_rows
 from .series import odd_horner
-from .specfun import gaussian_moment_pow
 
 _REPAIR_LIMIT = 1e-6
 
-#: Gaussian samples drawn, mapped and scored per block (see _blocks)
+#: Gaussian samples drawn, mapped and scored per block (see sample_round)
 _CHUNK = 512
 
 
@@ -110,13 +109,20 @@ class RoundedSolution:
     empirical_mean_value: float
 
 
-def _blocks(tg: TransformedGram, num_samples: int, rng):
-    """Gaussian samples g in blocks of _CHUNK, projected to P = Lu g and
-    Q = Lv g (the scaled factor rows): yields (D_y, s_y, D_x, s_x) per block,
-    D_y = psi_q(P) and s_y = ||P||_q^(-b) per row, D_x and s_x the same for
-    Q at p*, a.  Consecutive block draws are the numbers one draw of all
-    samples would give.  An all-zero projection on a side with a nonzero row
-    (a measure-zero event) is redrawn."""
+def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
+                 seed: int = 0) -> RoundedSolution:
+    """Sample the rounding: best and mean of y^T A x over Gaussian samples.
+
+    Samples g are drawn, mapped and scored in blocks of _CHUNK, and
+    consecutive block draws are the numbers one draw of all samples would
+    give.  Each g projects to P = Lu g and Q = Lv g (the scaled factor rows);
+    an all-zero projection on a side with a nonzero row (a measure-zero
+    event) is redrawn.  A sample rounds to y = D_y s_y on the unit l_{q*}
+    sphere and x = D_x s_x on the unit l_p sphere, with D_y = psi_q(P),
+    s_y = ||P||_q^(-b) and D_x, s_x the same for Q at p*, a; so its value is
+    D_y^T A D_x s_y s_x and only the winner is scaled onto the spheres.
+    Memory does not grow with num_samples.  Deterministic for fixed seed and
+    sample count."""
     if num_samples < 1:
         raise DomainError(f"sample count must be at least 1, got {num_samples}")
     pair, m = tg.pair, tg.m
@@ -127,6 +133,10 @@ def _blocks(tg: TransformedGram, num_samples: int, rng):
     def dead_rows(PQ):
         return (live_u & ~PQ[:, :m].any(axis=1)) | (live_v & ~PQ[:, m:].any(axis=1))
 
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
+    best_val = -math.inf
+    best_y = best_x = None
+    total = 0.0
     for done in range(0, num_samples, _CHUNK):
         PQ = rng.standard_normal((min(_CHUNK, num_samples - done), d)) @ Lt
         dead = dead_rows(PQ)
@@ -135,23 +145,8 @@ def _blocks(tg: TransformedGram, num_samples: int, rng):
             dead[dead] = dead_rows(PQ[dead])
         if not np.all(np.isfinite(PQ)):
             raise DomainError("input must be finite")
-        yield (*_holder_rows(PQ[:, :m], pair.q, pair.b),
-               *_holder_rows(PQ[:, m:], pair.p_star, pair.a))
-
-
-def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
-                 seed: int = 0) -> RoundedSolution:
-    """Sample the rounding: best and mean of y^T A x over Gaussian samples.
-
-    A sample rounds to y = D_y s_y on the unit l_{q*} sphere and x = D_x s_x
-    on the unit l_p sphere (see _blocks), so its value is D_y^T A D_x s_y s_x
-    and only the winner is scaled onto the spheres.  Memory does not grow
-    with num_samples.  Deterministic for fixed seed and sample count."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
-    best_val = -math.inf
-    best_y = best_x = None
-    total = 0.0
-    for Dy, sy, Dx, sx in _blocks(tg, num_samples, rng):
+        Dy, sy = _holder_rows(PQ[:, :m], pair.q, pair.b)
+        Dx, sx = _holder_rows(PQ[:, m:], pair.p_star, pair.a)
         vals = np.einsum("ij,ij->i", Dy @ inst.A, Dx) * sy * sx
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -161,66 +156,3 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
     return RoundedSolution(y=best_y, x=best_x, value=best_val,
                            sample_count=num_samples,
                            empirical_mean_value=total / num_samples)
-
-
-@dataclass
-class RoundingMomentStats:
-    """Empirical moments of the unnormalized Holder duals against their
-    exact references; the identity check and the denominator bound."""
-
-    numerator_mean: np.ndarray
-    numerator_se: np.ndarray
-    numerator_ref: np.ndarray
-    denominator_mean: float
-    denominator_se: float
-    denominator_bound: float
-    sample_count: int
-
-    @property
-    def numerator_max_sigmas(self) -> float:
-        se = np.where(self.numerator_se > 0, self.numerator_se, np.inf)
-        return float(np.max(np.abs(self.numerator_mean - self.numerator_ref) / se))
-
-
-def rounding_identity_stats(inst: ProblemInstance, tg: TransformedGram,
-                            sol: RelaxationSolution, num_samples: int,
-                            seed: int = 0) -> RoundingMomentStats:
-    """Monte Carlo check of the design identities of the rounding.
-
-    The expectation of psi_q(phi(U) g) psi_{p*}(psi(V) g)^T equals
-    gamma_{p*}^{p*} gamma_q^q * c_ab * S_u (Uhat Vhat^T) S_v, where S_u, S_v
-    carry the row norms when the matching exponent is positive and are
-    identity when it is 0 (the sign map forgets scale).  The denominator
-    satisfies E ||phi(U) g||_q^b ||psi(V) g||_{p*}^a <= gamma_{p*}^a gamma_q^b.
-    """
-    pair = tg.pair
-    m, n = tg.m, tg.n
-    q, ps, a, b = pair.q, pair.p_star, pair.a, pair.b
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x1D,)))
-    num_sum, num_sq = np.zeros((m, n)), np.zeros((m, n))
-    den_sum = den_sq = 0.0
-    for YU, sy, XU, sx in _blocks(tg, num_samples, rng):
-        num_sum += YU.T @ XU
-        num_sq += (YU * YU).T @ (XU * XU)
-        den = 1.0 / (sy * sx)
-        den_sum += float(np.sum(den))
-        den_sq += float(den @ den)
-    num_mean = num_sum / num_samples
-    num_se = np.sqrt(np.maximum(num_sq / num_samples - num_mean ** 2, 0.0) / num_samples)
-    den_mean = den_sum / num_samples
-
-    su = tg.u_norms if b > 0 else np.ones(m)
-    sv = tg.v_norms if a > 0 else np.ones(n)
-    gam = gaussian_moment_pow(ps) * gaussian_moment_pow(q)
-    ref = gam * tg.c_ab * (su[:, None] * (unit_rows(sol.U)[0] @ unit_rows(sol.V)[0].T) * sv[None, :])
-
-    den_bound = gaussian_moment_pow(ps) ** (a / ps) * gaussian_moment_pow(q) ** (b / q)
-    return RoundingMomentStats(
-        numerator_mean=num_mean,
-        numerator_se=num_se,
-        numerator_ref=ref,
-        denominator_mean=den_mean,
-        denominator_se=math.sqrt(max(den_sq / num_samples - den_mean ** 2, 0.0) / num_samples),
-        denominator_bound=den_bound,
-        sample_count=num_samples,
-    )

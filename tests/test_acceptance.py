@@ -14,7 +14,7 @@ from pqnorm.factorization import build_certificate, solve_dual
 from pqnorm.krivine import NormPair, approx_ratio, certify_defect, check_conditions, compute_c_ab
 from pqnorm.oracles import beta_bound_expression, contour_magnitude_check, hermite_coeff_check
 from pqnorm.relaxation import ProblemInstance, brute_force_norm, solve_cp
-from pqnorm.rounding import build_transformed_gram, rounding_identity_stats, sample_round
+from pqnorm.rounding import build_transformed_gram, sample_round
 
 ASINH1 = math.asinh(1.0)
 
@@ -151,7 +151,7 @@ def test_criterion_08_rounding_sandwich():
     _report(8, f"60 pipelines sandwiched, {elapsed:.1f} s")
 
 
-def test_criterion_09_numerator_identity():
+def test_criterion_09_numerator_identity(rounding_moments):
     worst = 0.0
     for seed, pair in enumerate([NormPair(math.inf, 1.0), NormPair(4.0, 4.0 / 3.0)]):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(seed,)))
@@ -161,8 +161,7 @@ def test_criterion_09_numerator_identity():
             sol = solve_cp(inst, seed=rep)
             c, g, _ = compute_c_ab(pair, K=60)
             tg = build_transformed_gram(sol, pair, c, g)
-            stats = rounding_identity_stats(inst, tg, sol, num_samples=10**5,
-                                            seed=31 * seed + rep)
+            stats = rounding_moments(tg, sol, num_samples=10**5, seed=31 * seed + rep)
             worst = max(worst, stats.numerator_max_sigmas)
             assert stats.numerator_max_sigmas <= 4.0, (pair.p, rep)
     _report(9, f"entrywise numerator identity holds, worst {worst:.2f} sigma")

@@ -448,6 +448,24 @@ class TestVerify:
         assert code == 0
         assert rows == [3]
 
+    def test_inversion_formula_check_is_relative(self, monkeypatch, capsys):
+        # the (0, 0, k = 9) reference is 2.76e-6: an estimate 1e-5 off in
+        # relative terms is only 2.8e-11 off in absolute ones, and must fail
+        from pqnorm import oracles
+
+        exact = oracles.contour_inverse_coeff
+
+        def off_at_k9(a, b, ks):
+            est = exact(a, b, ks)
+            return [e * (1.0 + 1e-5) if (a, b, k) == (0.0, 0.0, 9) else e
+                    for k, e in zip(ks, est)]
+
+        monkeypatch.setattr(oracles, "contour_inverse_coeff", off_at_k9)
+        code, out = run_main(["verify", "contours"], capsys)
+        assert code == 1
+        failed = [r["target"] for r in map(json.loads, out.splitlines()) if not r["pass"]]
+        assert failed == ["inversion-formula(a=0,b=0,k=9)"]
+
 
 class TestConditionsCommands:
     def test_check_conditions(self, capsys):

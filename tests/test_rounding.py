@@ -8,18 +8,12 @@ from pqnorm.errors import DomainError
 from pqnorm.krivine import NormPair, approx_ratio, compute_c_ab
 from pqnorm.relaxation import (
     ProblemInstance,
-    _holder_rows,
     brute_force_norm,
     holder_dual,
     lp_norm,
     solve_cp,
 )
-from pqnorm.rounding import (
-    _CHUNK,
-    build_transformed_gram,
-    rounding_identity_stats,
-    sample_round,
-)
+from pqnorm.rounding import _CHUNK, build_transformed_gram, sample_round
 
 ASINH1 = math.asinh(1.0)
 
@@ -155,6 +149,11 @@ class TestSampleRound:
         assert r1.value == r2.value
         assert np.array_equal(r1.y, r2.y)
 
+    def test_zero_samples_is_domain_error(self):
+        inst, sol, c, tg = pipeline(np.random.default_rng(12).standard_normal((6, 5)), 4.0, 4.0 / 3.0)
+        with pytest.raises(DomainError):
+            sample_round(inst, tg, num_samples=0)
+
 
 def one_draw_round(inst, tg, num_samples, seed):
     """The rounding in one piece: every sample drawn at once, every row put
@@ -256,11 +255,11 @@ class TestBlockedSampling:
 
 class TestMomentIdentities:
     @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0), (2.0, 2.0)])
-    def test_moments_match_the_outer_product_tensor(self, p, q):
+    def test_moments_match_the_outer_product_tensor(self, rounding_moments, p, q):
         rng = np.random.default_rng(9)
         inst, sol, c, tg = pipeline(rng.standard_normal((5, 4)), p, q)
         N = 3000
-        stats = rounding_identity_stats(inst, tg, sol, num_samples=N, seed=6)
+        stats = rounding_moments(tg, sol, num_samples=N, seed=6)
         pair = tg.pair
         Lu, Lv = tg.scaled_factors()
         draw = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(0x1D,)))
@@ -273,59 +272,16 @@ class TestMomentIdentities:
                * np.sum(np.abs(Q) ** pair.p_star, axis=1) ** (pair.a / pair.p_star))
         assert stats.denominator_mean == pytest.approx(den.mean(), rel=1e-13)
 
-
-    @pytest.mark.parametrize("p,q", [(math.inf, 1.0), (4.0, 4.0 / 3.0), (3.0, 1.5)])
-    @pytest.mark.parametrize("N", [1, _CHUNK, 2 * _CHUNK + 3])
-    def test_blocked_moments_match_one_draw(self, p, q, N):
-        # the moments summed block by block against one draw of all N rows
-        # of the same seed stream, the form before blocking
-        inst, sol, c, tg = pipeline(np.random.default_rng(12).standard_normal((6, 5)), p, q)
-        stats = rounding_identity_stats(inst, tg, sol, num_samples=N, seed=3)
-        pair = tg.pair
-        draw = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(0x1D,)))
-        PQ = draw.standard_normal((N, tg.factor.shape[1])) @ np.vstack(tg.scaled_factors()).T
-        Y, sy = _holder_rows(PQ[:, :tg.m], pair.q, pair.b)
-        X, sx = _holder_rows(PQ[:, tg.m:], pair.p_star, pair.a)
-        mean = Y.T @ X / N
-        se = np.sqrt(np.maximum((Y * Y).T @ (X * X) / N - mean ** 2, 0.0) / N)
-        den = 1.0 / (sy * sx)
-
-        def close(got, ref):
-            return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-        assert close(stats.numerator_mean, mean) and close(stats.numerator_se, se)
-        assert close(stats.denominator_mean, den.mean())
-        assert close(stats.denominator_se, den.std() / math.sqrt(N))
-        assert stats.sample_count == N
-
-    def test_memory_does_not_grow_with_samples(self):
-        A = np.random.default_rng(100).standard_normal((100, 100))
-        inst, sol, c, tg = pipeline(A, 4.0, 4.0 / 3.0)
-        tracemalloc.start()
-        try:
-            rounding_identity_stats(inst, tg, sol, num_samples=20_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one draw of all 20,000 samples held 20,000 x 200 doubles (32 MB)
-        # several times over
-        assert peak <= 16 * 2**20
-
-    def test_zero_samples_is_domain_error(self):
-        inst, sol, c, tg = pipeline(np.random.default_rng(12).standard_normal((6, 5)), 4.0, 4.0 / 3.0)
-        with pytest.raises(DomainError):
-            rounding_identity_stats(inst, tg, sol, num_samples=0)
-
     @pytest.mark.parametrize("p,q,seed", [(math.inf, 1.0, 1), (4.0, 4.0 / 3.0, 2)])
-    def test_numerator_identity_within_4_sigma(self, p, q, seed):
+    def test_numerator_identity_within_4_sigma(self, rounding_moments, p, q, seed):
         rng = np.random.default_rng(seed)
         inst, sol, c, tg = pipeline(rng.standard_normal((5, 4)), p, q)
-        stats = rounding_identity_stats(inst, tg, sol, num_samples=100_000, seed=seed)
+        stats = rounding_moments(tg, sol, num_samples=100_000, seed=seed)
         assert stats.numerator_max_sigmas <= 4.0
 
     @pytest.mark.parametrize("p,q,seed", [(math.inf, 1.0, 3), (4.0, 4.0 / 3.0, 4), (3.0, 1.5, 5)])
-    def test_denominator_bound(self, p, q, seed):
+    def test_denominator_bound(self, rounding_moments, p, q, seed):
         rng = np.random.default_rng(seed + 70)
         inst, sol, c, tg = pipeline(rng.standard_normal((5, 4)), p, q)
-        stats = rounding_identity_stats(inst, tg, sol, num_samples=100_000, seed=seed)
+        stats = rounding_moments(tg, sol, num_samples=100_000, seed=seed)
         assert stats.denominator_mean <= stats.denominator_bound + 4.0 * stats.denominator_se
