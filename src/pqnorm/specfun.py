@@ -73,11 +73,13 @@ def _on_excluded_ray(z):
 #: nodes of the Gauss-Jacobi rule; the error check reruns with half as many
 _GJ_NODES = 192
 #: points per block, which bounds the (points, nodes) work arrays (~3 MB each;
-#: the graded fallback's, for the points of a block that fail the check, are
-#: three times wider)
+#: three times wider for the points of a block that take the graded rule)
 _GJ_BLOCK = 1024
 #: relative agreement of the two node counts that accepts a value
 _ACCEPT = 1e-9
+#: points with |1 - z^2| up to this skip that check for the graded rule: below
+#: ~3e-3 the Gauss-Jacobi error leaves its 1.4e-14 floor, up to 1.2e-10 by +-1
+_NEAR_BRANCH = 1e-2
 #: nodes per panel of the graded fallback rule, fine and coarse
 _GRADED_NODES = (20, 16)
 #: width ratio of neighbouring panels of the graded rule, and its panel levels
@@ -94,24 +96,37 @@ def _read_only(*arrays):
     return arrays
 
 
+def _gauss_rule(diag, off, mass=1.0):
+    """The Gauss rule, weights summing to ``mass``, of the orthonormal p_k with
+    p_0 = 1 and off[k+1] p_{k+1} = (x - diag[k]) p_k - off[k] p_{k-1} (Golub &
+    Welsch, Math. Comp. 23, 1969): the Jacobi matrix's eigenvalues after one
+    Newton step on p_n, and the Christoffel numbers 1 / sum_{k<n} p_k^2."""
+    n = diag.size
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], -1))
+    d, o = diag.tolist(), off.tolist() + [1.0]  # off[n] := 1 keeps the zeros of p_n
+    p_prev, p, dp_prev, dp = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    for j in range(n):
+        t = x - d[j]
+        p_prev, p, dp_prev, dp = (p, (t * p - o[j] * p_prev) / o[j + 1],
+                                  dp, (p + t * dp - o[j] * dp_prev) / o[j + 1])
+    x = x - p / dp
+    p_prev, p, acc = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        p_prev, p = p, ((x - d[j]) * p - o[j] * p_prev) / o[j + 1]
+        acc += p * p
+    w = 1.0 / acc
+    return _read_only(x, w / w.sum() * mass)
+
+
 @functools.lru_cache(maxsize=_RULE_CACHE)
 def _gauss_jacobi(n: int, alpha: float, beta: float):
     """Nodes and weights of the n-point Gauss rule for (1-x)^alpha (1+x)^beta
     on [-1, 1], scaled so the weights sum to 1, as read-only arrays built once
-    per process.
-
-    The nodes are scipy's; the weights are the Christoffel numbers
-    1 / sum_k p_k(x)^2 of the orthonormal Jacobi polynomials.  scipy's own
-    weights lose accuracy at the node next to a strong endpoint singularity
-    (their first moment is off by 3e-9 at beta = -0.975, n = 192); these
-    hold it to a few 1e-12.
-    """
-    from scipy import special
-
-    x = special.roots_jacobi(n, alpha, beta)[0]
+    per process by _gauss_rule.  Its Christoffel weights hold the first moment
+    to a few 1e-12 next to a strong endpoint singularity, where weights taken
+    from eigenvectors lose it (3e-9 off at beta = -0.975, n = 192)."""
     k = np.arange(n, dtype=float)
     s = 2.0 * k + alpha + beta
-    # the three-term recurrence: diagonal diag[k], off-diagonal off[k] (off[0] = 0)
     # diag[0] apart: the general form is 0/0 there when alpha + beta = 0
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (alpha + beta + 2.0)
@@ -119,21 +134,16 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     off = np.zeros(n)
     off[1:] = np.sqrt(4.0 * k[1:] * (k[1:] + alpha) * (k[1:] + beta) * (k[1:] + alpha + beta)
                       / (s[1:] ** 2 * (s[1:] + 1.0) * (s[1:] - 1.0)))
-    p_prev, p, acc = np.zeros(n), np.ones(n), np.ones(n)
-    for j in range(n - 1):
-        p_prev, p = p, ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
-        acc += p * p
-    w = 1.0 / acc
-    return _read_only(x, w / w.sum())
+    return _gauss_rule(diag, off)
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE)
 def _gauss_laguerre(n: int, alpha: float):
     """Nodes and weights of the n-point Gauss rule for s^alpha e^{-s} on
-    [0, inf), scipy's, as read-only arrays built once per process."""
-    from scipy.special import roots_genlaguerre
-
-    return _read_only(*roots_genlaguerre(n, alpha))
+    [0, inf), summing to the weight's mass Gamma(alpha + 1), as read-only
+    arrays built once per process by _gauss_rule."""
+    k = np.arange(n, dtype=float)
+    return _gauss_rule(2.0 * k + 1.0 + alpha, np.sqrt(k * (k + alpha)), math.gamma(alpha + 1.0))
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE)
@@ -233,12 +243,13 @@ def euler_continuation(z, a, b: float):
     side of [0, 1], so by Cauchy's theorem the value is unchanged.  The
     power is exp(power * log(1 - z^2 t)), the same bits as the complex
     power, with each log taken once per distinct z and shared by every
-    ``a``.  A point is accepted when the 192- and 96-node values agree to
-    1e-9 relative.  Every other point (in practice z next to +-1, where
-    1/z^2 sits just past t = 1) goes, at its own ``a``, to a graded
-    composite rule on the real segment, in s = sqrt(t).  [0, 1] splits at
-    c = |Re(1/z)| clipped to [4^-28, 1], the foot of the nearer branch point,
-    and each side is cut into 29 panels whose widths shrink by 4 toward c.
+    ``a``.  A point with |1 - z^2| <= 1e-2 (next to +-1, where 1/z^2 sits
+    just past t = 1) goes straight, at its own ``a``, to a graded composite
+    rule on the real segment, in s = sqrt(t); any other point goes there
+    unless its 192- and 96-node values agree to 1e-9 relative.  [0, 1]
+    splits at c = |Re(1/z)| clipped to [4^-28, 1], the foot of the nearer
+    branch point, and each side is cut into 29 panels whose widths shrink
+    by 4 toward c.
     The panels at 0 and 1 are Gauss-Jacobi with weights s^{-b} and
     (1-s)^{b/2}, the rest Gauss-Legendre, and 1 - z^2 s^2 is formed as a
     product of two factors that keep their digits next to the branch point.
@@ -273,6 +284,8 @@ def euler_continuation(z, a, b: float):
         rules = [_euler_rule(n, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
         for lo in range(0, todo.size, _GJ_BLOCK):
             idx = todo[lo:lo + _GJ_BLOCK]
+            near = np.abs(1.0 - flat[idx] ** 2) <= _NEAR_BRANCH
+            miss, idx = idx[near], idx[~near]
             distinct, of = np.unique(z_of[idx], return_inverse=True)
             z2 = z_in[distinct] ** 2
             down = z2.imag < 0  # sigma = -1: integrate at conj(z^2), conjugate back
@@ -284,7 +297,7 @@ def euler_continuation(z, a, b: float):
             flip = down[of]
             full[flip] = full[flip].conjugate()
             out[idx[ok]] = flat[idx[ok]] * full[ok]
-            miss = idx[~ok]
+            miss = np.concatenate([miss, idx[~ok]])
             if miss.size:
                 out[miss] = _euler_graded(flat[miss], power[miss], b)
     if scalar:

@@ -412,7 +412,7 @@ class TestVerify:
         assert code == 0 and len(out.splitlines()) == 38
         assert calls[0] == 5
         assert len(graded_points) <= calls[0]
-        assert sum(graded_points, []) == [1.0 - 1e-4] * 24
+        assert sum(graded_points, []) == [1.0 - 1e-4] * 25
         assert specfun._gauss_jacobi.cache_info().misses == 2 * 5 + 2 + 2 * 4
         assert series[0] == 3
         assert quad_calls[0] == 0

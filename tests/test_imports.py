@@ -1,13 +1,16 @@
-"""The package's import surface.  Every exported name resolves, and scipy
-stays off the import path: only the contour and identity suites need it,
-for the Gauss-Jacobi nodes of scipy.special, and loading it costs more than
-most commands take to run.  Neither loads scipy.integrate.
+"""The package's import surface and its dependencies.  Every exported name
+resolves, and no command loads scipy: the Gauss rules of the contour and
+identity suites come from their three-term recurrences in numpy, and scipy
+is only a reference for the tests, in the test extra with the other
+third-party modules the tests import.
 
 The scipy cases run in a fresh interpreter, since this test process has
 scipy loaded already."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,19 +59,42 @@ def test_command_loads_no_scipy(argv, tmp_path):
     assert scipy_modules_after(code) == []
 
 
-def test_contour_rule_loads_scipy_on_call():
-    # the check above can see scipy: the Gauss-Jacobi nodes import it when called
-    code = "from pqnorm import specfun\nspecfun.euler_continuation(0.5, 0.2, 0.3)"
-    assert "scipy.special" in scipy_modules_after(code)
-
-
-@pytest.mark.parametrize("suite", ["contours", "identities"])
-def test_contours_load_no_scipy_integrate(suite, tmp_path):
-    # the points next to the branch point take the graded Gauss rule, and the
-    # identities take Gauss-Jacobi and Gauss-Laguerre rules, so both suites
-    # need scipy.special's Gauss nodes and no adaptive quadrature
+@pytest.mark.parametrize("suite", ["contours", "identities", "all"])
+def test_verify_suites_load_no_scipy(suite, tmp_path):
+    # the contour suite's Gauss-Jacobi rules and the identity suite's
+    # Gauss-Jacobi and Gauss-Laguerre rules are built in numpy
     argv = ["verify", suite, "--out", str(tmp_path / "out.txt")]
     code = f"from pqnorm.cli import main\nassert main({argv!r}) == 0"
-    loaded = scipy_modules_after(code)
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+    assert scipy_modules_after(code) == []
+
+
+def pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    return tomllib.loads(path.read_text())["project"]
+
+
+def distribution(requirement: str) -> str:
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+
+
+def test_numpy_is_the_only_dependency():
+    assert [distribution(r) for r in pyproject()["dependencies"]] == ["numpy"]
+
+
+def test_test_extra_covers_every_third_party_import():
+    project = pyproject()
+    listed = {distribution(r) for r in project["dependencies"]
+              + project["optional-dependencies"]["test"]}
+    tests = Path(__file__).resolve().parent
+    local = {p.stem for p in tests.glob("*.py")} | {"pqnorm"}
+    imported = set()
+    for path in tests.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"hypothesis", "mpmath", "pytest", "scipy"} <= third_party
+    assert sorted(third_party - listed) == []

@@ -5,9 +5,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from pqnorm import specfun
+from pqnorm import cli, oracles, specfun
 from pqnorm.errors import AccuracyError, DomainError
 from pqnorm.krivine import f_bar_w_coeffs
 from pqnorm.oracles import _contour_points
@@ -335,10 +335,10 @@ class TestEulerContinuationArray:
             assert points == [1.0 - 1e-4]
 
     def test_branch_leg_start_against_mpmath(self, monkeypatch):
-        # z = 1 - 1e-4 starts the contour's near-real leg.  24 of the 25
-        # lattice pairs fail the Gauss-Jacobi check there and take the graded
-        # rule, good to 1e-14; at (0.95, 0.95) the 192 and 96 nodes agree to
-        # 1.6e-10, so that pair keeps the Gauss-Jacobi value, 1.05e-12 off
+        # z = 1 - 1e-4 starts the contour's near-real leg.  |1 - z^2| ~ 2e-4
+        # sends it straight to the graded rule at all 25 lattice pairs, good
+        # to 1e-14; at (0.95, 0.95) the 192 and 96 nodes agree to 1.6e-10,
+        # so the Gauss-Jacobi value, 1.05e-12 off, used to pass their check
         graded_b = []
         graded = specfun._euler_graded
 
@@ -352,20 +352,21 @@ class TestEulerContinuationArray:
                 graded_b.clear()
                 val = euler_continuation(1.0 - 1e-4, a, b)
                 ref = complex(hyp2f1_reference(1.0 - 1e-4, a, b))
-                assert graded_b == ([] if a == b == 0.95 else [b])
-                tol = 1e-11 if a == b == 0.95 else 1e-14
-                assert abs(val - ref) <= tol * abs(ref), (a, b)
+                assert graded_b == [b]
+                assert abs(val - ref) <= 1e-14 * abs(ref), (a, b)
 
     @pytest.mark.parametrize("z", [1 - 1e-6, 1 - 1e-9, -(1 - 1e-8), 0.9999 + 1e-7j,
                                    0.99999 - 2e-6j])
     def test_next_to_the_branch_points_against_mpmath(self, z):
         # within 1e-6 of +-1 the continuation used to raise AccuracyError
-        # (z = 0.999999, a = 0.2, b = 0.9); the graded rule meets 1e-8 there
+        # (z = 0.999999, a = 0.2, b = 0.9), and later passed values 1.2e-10
+        # off at (0.95, 0.95); the graded rule is 2.5e-14 off at worst, at
+        # z = -(1 - 1e-8)
         a = np.array(self.LATTICE + [0.2])
         for b in self.LATTICE + [0.9]:
             val = euler_continuation(z, a, b)
             ref = np.array([hyp2f1_reference(z, a_i, b) for a_i in a])
-            assert np.all(np.abs(val - ref) <= 1e-8 * np.abs(ref)), b
+            assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref)), b
 
     @pytest.mark.parametrize("b", [0.0, 0.5, 0.95, 0.999])
     def test_graded_rule_against_mpmath(self, b):
@@ -452,3 +453,62 @@ class TestRuleCache:
         assert rule.cache_info().misses == size + 2
         rule(4, size / (size + 1), 0.0)  # the newest stays
         assert rule.cache_info().misses == size + 2
+
+
+# every Gauss rule `verify all` builds: the contour suite's two main rules
+# per b and its graded panels, the identity suite's 64-node correlation
+# pieces, and its 24-node Hermite rules
+JACOBI_KEYS = sorted({(n, b / 2, -(1 + b) / 2) for b in cli._CONTOUR_LATTICE for n in (192, 96)}
+                     | {(n, -b, 0.0) for b in cli._CONTOUR_LATTICE for n in (20, 16)}
+                     | {(64, e1, e2) for e1 in cli._IDENTITY_LATTICE
+                        for e2 in cli._IDENTITY_LATTICE})
+LAGUERRE_KEYS = sorted({(24, c / 2) for c in cli._IDENTITY_LATTICE + (0.5,)})
+
+
+class TestGaussRules:
+    """The recurrence-built rules against scipy.special, a reference the
+    package itself does not import."""
+
+    def test_the_keys_are_the_ones_verify_all_builds(self, monkeypatch, capsys):
+        built = {"jacobi": set(), "laguerre": set()}
+
+        def recording(name, rule):
+            def wrapper(*key):
+                built[name].add(key)
+                return rule(*key)
+            return wrapper
+
+        for module in (specfun, oracles):
+            monkeypatch.setattr(module, "_gauss_jacobi",
+                                recording("jacobi", specfun._gauss_jacobi))
+        monkeypatch.setattr(oracles, "_gauss_laguerre",
+                            recording("laguerre", specfun._gauss_laguerre))
+        assert cli.main(["verify", "all"]) == 0
+        capsys.readouterr()
+        assert sorted(built["jacobi"]) == JACOBI_KEYS and len(JACOBI_KEYS) == 36
+        assert sorted(built["laguerre"]) == LAGUERRE_KEYS and len(LAGUERRE_KEYS) == 5
+
+    @pytest.mark.parametrize("key", JACOBI_KEYS)
+    def test_jacobi_nodes_against_scipy(self, key):
+        # one Newton step after the eigenvalues puts every node within 1 ulp
+        x, _ = specfun._gauss_jacobi(*key)
+        assert np.max(np.abs(x - special.roots_jacobi(*key)[0])) <= 4.4e-16
+
+    def test_without_the_newton_step_the_nodes_miss(self, monkeypatch):
+        # the eigenvalues of the Jacobi matrix alone are up to 1.3e-15 off,
+        # so the bound above tells the two builders apart
+        def eigenvalues_only(diag, off):
+            return np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], -1)), None
+
+        monkeypatch.setattr(specfun, "_gauss_rule", eigenvalues_only)
+        worst = max(np.max(np.abs(specfun._gauss_jacobi.__wrapped__(*key)[0]
+                                  - special.roots_jacobi(*key)[0])) for key in JACOBI_KEYS)
+        assert worst > 4.4e-16
+
+    @pytest.mark.parametrize("key", LAGUERRE_KEYS)
+    def test_laguerre_rule_against_scipy(self, key):
+        # the weights sum to Gamma(alpha + 1), as scipy's do
+        x, w = specfun._gauss_laguerre(*key)
+        x_ref, w_ref = special.roots_genlaguerre(*key)
+        assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-14
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-12
