@@ -322,7 +322,8 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, OSError, ValueError) as exc:
+    except (DomainError, OSError, ValueError, MemoryError) as exc:
+        # every allocation is sized by the input: the matrix, --order, --grid, --samples
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, CertificationError, NumericalError) as exc:

@@ -48,7 +48,7 @@ def _scaled(A: np.ndarray, s: np.ndarray, t: np.ndarray):
 
 def dual_value(pair: NormPair, s: np.ndarray, t: np.ndarray) -> float:
     alpha, beta = _outer_exponents(pair)
-    return 0.5 * (lp_norm(s, alpha) + lp_norm(t, beta))
+    return 0.5 * lp_norm(s, alpha) + 0.5 * lp_norm(t, beta)  # halves first: no overflow
 
 
 @dataclass

@@ -139,7 +139,8 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
     min(m+n, ceil(sqrt(2(m+n))) + 1) and one start suffices.  It is drawn
     from the seed stream SeedSequence(seed, spawn_key=(0,)).  A is divided
     by max |A_ij| for the solve and the value and trace are scaled back, so
-    any finite scale works; U and V do not depend on the scale.
+    any finite scale works; U and V do not depend on the scale.  A value or
+    trace past the float range once scaled back is a NumericalError.
     """
     m, n = inst.shape
     p, qs = inst.pair.p, inst.pair.q_star
@@ -185,10 +186,14 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
             converged = True
             break
         obj_prev = obj
-    return RelaxationSolution(U=U, V=V, value=float(np.sum(A * (U @ V.T))) * scale,
-                              converged=converged, iterations=len(trace),
-                              fallbacks=fallbacks,
-                              objective_trace=np.asarray(trace) * scale)
+    value = float(np.sum(A * (U @ V.T))) * scale
+    with np.errstate(over="ignore"):
+        trace = np.asarray(trace) * scale
+    if not (math.isfinite(value) and np.isfinite(trace).all()):
+        raise NumericalError(f"relaxation value {value:.3e} is past the float range "
+                             f"(max |A_ij| = {scale:.3e})")
+    return RelaxationSolution(U=U, V=V, value=value, converged=converged,
+                              iterations=len(trace), fallbacks=fallbacks, objective_trace=trace)
 
 
 def holder_ascent(A: np.ndarray, pair: NormPair, x0: np.ndarray,

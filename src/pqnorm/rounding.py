@@ -134,6 +134,10 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
         return (live_u & ~PQ[:, :m].any(axis=1)) | (live_v & ~PQ[:, m:].any(axis=1))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
+    # values and their sum are kept in units of a power of two near
+    # max |A_ij|: exact, and nothing overflows unless the value itself does
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(inst.A))))[1] - 1)
+    A = inst.A / unit
     best_val = -math.inf
     best_y = best_x = None
     total = 0.0
@@ -147,12 +151,12 @@ def sample_round(inst: ProblemInstance, tg: TransformedGram, num_samples: int,
             raise DomainError("input must be finite")
         Dy, sy = _holder_rows(PQ[:, :m], pair.q, pair.b)
         Dx, sx = _holder_rows(PQ[:, m:], pair.p_star, pair.a)
-        vals = np.einsum("ij,ij->i", Dy @ inst.A, Dx) * sy * sx
+        vals = np.einsum("ij,ij->i", Dy @ A, Dx) * sy * sx
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_y, best_x = Dy[i] * sy[i], Dx[i] * sx[i]
         total += float(np.sum(vals))
-    return RoundedSolution(y=best_y, x=best_x, value=best_val,
+    return RoundedSolution(y=best_y, x=best_x, value=best_val * unit,
                            sample_count=num_samples,
-                           empirical_mean_value=total / num_samples)
+                           empirical_mean_value=total / num_samples * unit)

@@ -343,6 +343,74 @@ class TestFactorize:
         assert captured.err == "numerical error: Eigenvalues did not converge\n"
 
 
+def plus_minus_csv(tmp_path, c):
+    path = tmp_path / "pm.csv"
+    path.write_text(f"{c!r},{c!r}\n{c!r},{-c!r}\n")
+    return str(path)
+
+
+class TestNearTheFloatRange:
+    def test_round_mean_does_not_overflow(self, tmp_path, capsys):
+        # the mean, about 1.6e305, used to print as Infinity: the sample
+        # total overflowed
+        recs = []
+        for c in (1e200, 1e305):
+            code, out = run_main(["round", "--in", plus_minus_csv(tmp_path, c)], capsys)
+            assert code == 0
+            recs.append(json.loads(out))
+        assert all(math.isfinite(v) for v in recs[1].values())
+        assert recs[1]["empirical_mean"] == pytest.approx(recs[0]["empirical_mean"] * 1e105,
+                                                          rel=1e-12)
+
+    def test_round_value_does_not_overflow_below_the_norm(self, tmp_path, capsys):
+        # ||c I||_{4->4/3} = sqrt(2) c is finite at c = 1e308, but D_y A
+        # overflowed before the sphere scaling and best_value was Infinity
+        recs = []
+        for c in (1.0, 1e308):
+            path = tmp_path / "eye.csv"
+            path.write_text(f"{c!r},0\n0,{c!r}\n")
+            code, out = run_main(["round", "--in", str(path), "--p", "4",
+                                  "--q", "1.3333333333333333", "--samples", "500"], capsys)
+            assert code == 0
+            recs.append(json.loads(out))
+        for key in ("best_value", "empirical_mean"):
+            assert recs[1][key] == pytest.approx(recs[0][key] * 1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("text,pq", [
+        ("1e305,1e305\n1e305,-1e305\n", ["--p", "inf", "--q", "1"]),
+        # ||t||/2 + ||s||/2 is 1.4e308, but their sum overflowed: dual_value
+        # was Infinity
+        ("1e308,0\n0,1e308\n", ["--p", "4", "--q", "1.3333333333333333"]),
+    ], ids=["plus-minus-1e305", "identity-1e308"])
+    def test_factorize_is_finite(self, text, pq, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        code, out = run_main(["factorize", "--in", str(path)] + pq, capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert all(math.isfinite(rec[k]) for k in ("dual_value", "primal_value", "duality_gap"))
+        assert rec["primal_value"] <= rec["dual_value"]
+
+    @pytest.mark.parametrize("command", ["round", "factorize"])
+    def test_norm_past_the_float_range_is_exit_3(self, command, tmp_path, capsys):
+        # the (inf, 1) norm is 2e308: both commands used to exit 0 and print
+        # Infinity and NaN
+        code = main([command, "--in", plus_minus_csv(tmp_path, 1e308)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numerical error: relaxation value inf")
+
+
+@pytest.mark.parametrize("argv", [["verify", "conditions", "--grid", "2"], ["bounds", "--p", "4"]])
+def test_allocation_failure_is_exit_2(argv, capsys):
+    # order 1e14 asks for 364 TiB or more, past any address space, so the
+    # allocation fails at once; it used to end in a traceback and exit 1
+    code = main(argv + ["--order", "100000000000001"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: Unable to allocate")
+
+
 class TestVerify:
     def test_conditions_suite(self, capsys):
         code, out = run_main(["verify", "conditions", "--grid", "21"], capsys)
