@@ -140,7 +140,7 @@ def _suite_identities(args):
                                 oracles.polar_f_ab(a, b, rho),
                                 oracles.correlation_reference(a, b, rho), 1e-12)
     for c in _IDENTITY_LATTICE:
-        for res in oracles.hermite_coeff_check(c, 15):
+        for res in oracles.hermite_coeff_check(c):
             yield _identity(res.target, res.estimate, res.reference, 1e-12)
     for a, b in [(0.0, 0.0), (0.3, 0.7), (0.5, 0.5)]:
         for rho in (0.5, 0.8):
@@ -149,19 +149,15 @@ def _suite_identities(args):
             yield _identity(res.target, res.estimate, res.reference, 1e-5)
 
 
-def _condition_lines(rep: krivine.ConditionsReport):
-    for m in rep.margins:
-        yield _check(f"{m.kind}(k={m.k})", m.passed, worst_margin=m.worst_margin,
-                     at_a=m.at_a, at_b=m.at_b)
-
-
 def _suite_conditions(args):
     cg = krivine.inverse_coeff_grid(args.grid, args.order)  # one reversion for all three
-    yield from _condition_lines(krivine.check_conditions(cg))
+    for m in krivine.check_conditions(cg).margins:
+        yield _check(f"{m.kind}(k={m.k})", m.passed, worst_margin=m.worst_margin,
+                     at_a=m.at_a, at_b=m.at_b)
     cert = krivine.certify_defect(cg)
-    yield _check("defect-certificate", cert.ok, h_err_max=cert.h_err_max,
-                 rho_certified=cert.rho_certified,
-                 hhat_at_rho_max=cert.hhat_at_rho_max)
+    yield _check("defect-certificate", cert.ok, t_odd=cert.t_odd, delta=cert.delta,
+                 h_err_max=cert.h_err_max, rho_certified=cert.rho_certified,
+                 hhat_at_rho_max=cert.hhat_at_rho_max, grid_points=cert.grid_size)
     x0 = math.asinh(1.0) / 1.00863
     worst = krivine.hhat_grid_max(cg, x0)
     yield _check("hhat-at-certified-point", worst <= 1.0 + 1e-9, x0=x0, max_hhat=worst)
@@ -169,14 +165,13 @@ def _suite_conditions(args):
 
 def _suite_contours(args):
     # one continuation call per b for every a; lines go out a-major
-    by_b = [oracles.contour_magnitude_check(np.array(_CONTOUR_LATTICE), b, alpha=6.0, samples=25)
+    by_b = [oracles.contour_magnitude_check(np.array(_CONTOUR_LATTICE), b)
             for b in _CONTOUR_LATTICE]
     for a, reps in zip(_CONTOUR_LATTICE, zip(*by_b)):
         for b, rep in zip(_CONTOUR_LATTICE, reps):
             yield _check(f"contour(a={a:g},b={b:g})",
                          rep.min_arc > 1.0 and rep.min_segment > 1.0,
-                         min_arc=rep.min_arc, min_segment=rep.min_segment,
-                         skipped=rep.skipped)
+                         min_arc=rep.min_arc, min_segment=rep.min_segment)
     worst = min(oracles.beta_bound_expression(b) for b in np.linspace(0.0, 0.999, 201))
     yield _check("beta-bound-expression", worst >= 1.003, min_value=worst)
     lattice = [(0.0, 0.0), (0.5, 0.5), (0.2, 0.8)]
@@ -232,27 +227,6 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_check_conditions(args) -> int:
-    rep = krivine.check_conditions(krivine.inverse_coeff_grid(args.grid, args.order))
-    _emit([_dumps(rec) for rec in _condition_lines(rep)], args.out_path)
-    return 0 if rep.all_pass else 1
-
-
-def cmd_certify_defect(args) -> int:
-    cert = krivine.certify_defect(krivine.inverse_coeff_grid(args.grid, args.order))
-    _emit([_dumps({
-        "t_odd": cert.t_odd,
-        "delta": cert.delta,
-        "h_err_max": cert.h_err_max,
-        "rho_certified": cert.rho_certified,
-        "hhat_at_rho_max": cert.hhat_at_rho_max,
-        "conditions_ok": cert.conditions_ok,
-        "pass": cert.ok,
-        "grid_points": cert.grid_size,
-    })], args.out_path)
-    return 0 if cert.ok else 1
-
-
 def _float_or_inf(text: str) -> float:
     return math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
 
@@ -303,14 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=sorted(_SUITES))
     options(sp, "order", "grid", "seed")
     sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("check-conditions", help="coefficient conditions on the grid")
-    options(sp, "order", "grid")
-    sp.set_defaults(func=cmd_check_conditions)
-
-    sp = sub.add_parser("certify-defect", help="tail certificate for the bound constant")
-    options(sp, "order", "grid")
-    sp.set_defaults(func=cmd_certify_defect)
     return parser
 
 

@@ -5,7 +5,7 @@ Series are odd and compressed as in :mod:`pqnorm.series`."""
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .specfun import gaussian_moment
 KRIVINE_RATIO = math.pi / (2.0 * math.asinh(1.0))
 
 _CONDITION_TOL = 1e-12
+_T_ODD, _DELTA = 31, math.asinh(0.974203)  # the certificate's t and delta
 
 
 def dual_exponent(r: float) -> float:
@@ -132,23 +133,31 @@ def _solve_c(pairs, K: int, tol: float):
     """c_ab, the signed inverse rows G and the tail bound at c_ab for every
     pair, from one reversion, one tail fit and one row-wise bisection.
     Raises CertificationError for the first pair, in order, whose c_ab the
-    tail does not certify within tol."""
+    tail does not certify within tol, with c, hhat(c), the tail at c, the
+    fitted tail's radius, and the cause: a large tail or that radius."""
     if K < 30:
         raise DomainError("certification needs K >= 30")
     if not tol > 0:
         raise DomainError("tol must be positive")
     G = inverse_coeff_grid(([p.a for p in pairs], [p.b for p in pairs]), K).G
     H = np.abs(G)
-    tail = _series_tail(series.tail_fit(H), K)
+    fit = series.tail_fit(H)
+    tail = _series_tail(fit, K)
     c = _bisect(H, tail)
-    bad = np.flatnonzero(series.odd_horner(H, c) < 1.0 - tol)
+    hhat, tail_c = series.odd_horner(H, c), tail(c)
+    bad = np.flatnonzero(hhat < 1.0 - tol)
     if bad.size:
         i = bad[0]
-        raise CertificationError(
-            f"tail estimate {tail(c)[i]:.3e} too large to certify hhat(c) within {tol:.1e}",
-            uncertified=float(_bisect(H[i:i + 1], lambda x: 0.0)[0]),
-        )
-    return c, G, tail(c)
+        radius = fit.ratio_w[i] ** -0.5 if fit.ratio_w[i] > 0.0 else math.inf
+        numbers = (f"c = {c[i]:.6f}, hhat(c) = {hhat[i]:.4f}, tail at c {tail_c[i]:.3e}, "
+                   f"fitted tail radius {radius:.6f}")
+        if hhat[i] + tail_c[i] < 1.0 - tol:  # the tail diverged before hhat + tail reached 1
+            cause = "bisection stopped at the fitted tail's radius, short of hhat(c) = 1"
+        else:
+            cause = f"tail estimate {tail_c[i]:.3e} too large to certify hhat(c) within {tol:.1e}"
+        raise CertificationError(f"{cause}: {numbers}",
+                                 uncertified=float(_bisect(H[i:i + 1], lambda x: 0.0)[0]))
+    return c, G, tail_c
 
 
 def compute_c_ab(pair: NormPair, K: int = CERT_ORDER, tol: float = 1e-4):
@@ -264,16 +273,18 @@ class ConditionsReport:
     all_pass: bool
 
 
-def check_conditions(cg: CoeffGrid, k_max: int = 29) -> ConditionsReport:
+def check_conditions(cg: CoeffGrid) -> ConditionsReport:
     """Check the sign/size conditions on the inverse coefficients.
 
-    For every grid point and odd k <= k_max: coefficient <= 1/k! when
+    For every grid point and odd k < 31: coefficient <= 1/k! when
     k = 1 mod 4 (C1), coefficient <= 0 when k = 3 mod 4 (C2).  Margins are
     the distances to the constraint; violations are data, not errors.
     """
     a, b, G = cg
+    k_max = _T_ODD - 2
     if k_max > 2 * G.shape[1] - 1:
-        raise DomainError("k_max must not exceed the truncation order")
+        raise DomainError(f"the conditions for odd k <= {k_max} need order K >= {k_max}, "
+                          f"but the series stop at degree {2 * G.shape[1] - 1}")
     margins = []
     all_pass = True
     for k in range(1, k_max + 1, 2):
@@ -314,9 +325,9 @@ def _odd_tail(fit: series.TailFit, M: int, x: float) -> np.ndarray:
     return np.where(rw >= 1.0, math.inf, tail)
 
 
-def certify_defect(cg: CoeffGrid, t_odd: int = 31,
-                   delta: Optional[float] = None) -> DefectCertificate:
-    """Certify a lower bound on hhat^{-1}(1) from the coefficient tail.
+def certify_defect(cg: CoeffGrid) -> DefectCertificate:
+    """Certify a lower bound on hhat^{-1}(1) from the coefficient tail, at
+    the paper's t = 31 and delta = asinh(0.974203).
 
     For each grid point: h_err(t, delta) sums |inverse coefficient| * delta^k
     over odd k >= t (computed coefficients plus a geometric tail estimate),
@@ -325,23 +336,19 @@ def certify_defect(cg: CoeffGrid, t_odd: int = 31,
     number) fails and gets rho = 0, so hhat is never evaluated at a negative
     or NaN radius.  Conditions C1/C2 must hold for k < t on the same grid.
     """
-    if t_odd % 2 == 0:
-        raise DomainError("t must be odd")
-    if delta is None:
-        delta = math.asinh(0.974203)
-    conds = check_conditions(cg, k_max=t_odd - 2)
+    conds = check_conditions(cg)
     absG = np.abs(cg.G)
     M = absG.shape[1] - 1
-    m0 = (t_odd - 1) // 2
-    powers = delta ** (2 * np.arange(m0, M + 1) + 1)
-    h_err = absG[:, m0:] @ powers + _odd_tail(series.tail_fit(absG), M, delta)
+    m0 = (_T_ODD - 1) // 2
+    powers = _DELTA ** (2 * np.arange(m0, M + 1) + 1)
+    h_err = absG[:, m0:] @ powers + _odd_tail(series.tail_fit(absG), M, _DELTA)
     small = h_err < 0.5
-    rho = np.minimum(delta, np.arcsinh(1.0 - 2.0 * np.where(small, h_err, 0.5)))
+    rho = np.minimum(_DELTA, np.arcsinh(1.0 - 2.0 * np.where(small, h_err, 0.5)))
     hhat_at_rho = series.odd_horner(absG, rho)
     ok = bool(conds.all_pass and np.all(small) and np.all(hhat_at_rho <= 1.0 + 1e-9))
     return DefectCertificate(
-        t_odd=t_odd,
-        delta=float(delta),
+        t_odd=_T_ODD,
+        delta=_DELTA,
         h_err_max=float(np.max(h_err)),
         rho_certified=float(np.min(rho)),
         hhat_at_rho_max=float(np.max(hhat_at_rho)),

@@ -12,10 +12,13 @@ from numpy.polynomial import hermite_e
 from .errors import AccuracyError, DomainError
 from .krivine import NormPair, f_bar_w_coeffs
 from .series import odd_horner
-from .specfun import (_gauss_jacobi, _gauss_laguerre, _on_excluded_ray, euler_continuation,
-                      gamma_fn, gaussian_moment_pow)
+from .specfun import (_gauss_jacobi, _gauss_laguerre, euler_continuation, gamma_fn,
+                      gaussian_moment_pow)
 
 _CIRCLE_RADIUS, _CIRCLE_NODES = 0.5, 64  # contour_inverse_coeff's circle
+# the expanding contour: radius, height^2 of the leg's end, points per leg
+_CONTOUR_RADIUS, _CONTOUR_EPS, _CONTOUR_SAMPLES = 6.0, 1e-4, 25
+_CORRELATION_ORDER = 400  # correlation_reference's series cut
 
 
 @dataclass
@@ -25,15 +28,16 @@ class IdentityCheckResult:
     reference: float
 
 
-def correlation_reference(a: float, b: float, rho: float, K: int = 400) -> float:
+def correlation_reference(a: float, b: float, rho: float) -> float:
     """gamma_{a+1}^{a+1} gamma_{b+1}^{b+1} * rho * 2F1(...; rho^2), the
     closed form the quadrature is checked against.
 
-    The series is cut at order K.  Every ratio of consecutive coefficients
-    F[m+1] / F[m] is below 1, so the cut tail is at most
+    The series is cut at order K = 400.  Every ratio of consecutive
+    coefficients F[m+1] / F[m] is below 1, so the cut tail is at most
     F[M] |rho|^(2M+3) / (1 - rho^2), M = (K - 1) // 2; AccuracyError when
-    that passes 1e-13 of the value: at K = 400, from |rho| ~ 0.945 on at
-    a = b = 0 and later for larger a, b."""
+    that passes 1e-13 of the value: from |rho| ~ 0.945 on at a = b = 0 and
+    later for larger a, b."""
+    K = _CORRELATION_ORDER
     pair = NormPair.from_ab(a, b)
     F = f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2)
     val = float(odd_horner(F, rho))
@@ -118,14 +122,12 @@ def hermite_coeff_numeric(c: float, k: int):
     return scale * float(terms.sum()), scale * np.finfo(float).eps * float(np.abs(terms).sum())
 
 
-def hermite_coeff_check(c: float, k_max: int) -> list:
-    """Quadrature Hermite coefficients against the closed form for k <= k_max."""
+def hermite_coeff_check(c: float) -> list:
+    """Quadrature Hermite coefficients against the closed form for k <= 15."""
     if not 0.0 <= c <= 1.0:
         raise DomainError("exponent must lie in [0, 1]")
-    if k_max > 35:
-        raise DomainError("quadrature validated for k <= 35 only")
     out = []
-    for k in range(0, k_max + 1):
+    for k in range(16):
         est, err = hermite_coeff_numeric(c, k)
         if err > 1e-8:
             raise AccuracyError(f"quadrature error {err:.2e} at k={k}", achieved=est,
@@ -138,15 +140,14 @@ def hermite_coeff_check(c: float, k_max: int) -> list:
     return out
 
 
-def noise_correlation_crosscheck(a: float, b: float, rho: float,
-                                 k_max: int = 35) -> IdentityCheckResult:
+def noise_correlation_crosscheck(a: float, b: float, rho: float) -> IdentityCheckResult:
     """Rebuild the correlation from numeric Hermite coefficients:
-    sum_k hat_a_k hat_b_k rho^k must match the closed form.
+    sum_k hat_a_k hat_b_k rho^k over odd k <= 35 must match the closed form.
 
-    The slowest coefficient decay (a = b = 0) needs k_max = 35 to push the
+    The slowest coefficient decay (a = b = 0) needs k up to 35 to push the
     truncated tail below 1e-6 at rho = 0.8."""
     total = sum(hermite_coeff_numeric(a, k)[0] * hermite_coeff_numeric(b, k)[0] * rho ** k
-                for k in range(1, k_max + 1, 2))
+                for k in range(1, 36, 2))
     return IdentityCheckResult(
         target=f"noise-correlation(a={a:g},b={b:g},rho={rho:g})",
         estimate=total,
@@ -158,37 +159,34 @@ def noise_correlation_crosscheck(a: float, b: float, rho: float,
 class ContourReport:
     a: float
     b: float
-    alpha: float
-    eps: float
     min_arc: float
     min_segment: float
-    skipped: int
 
     @property
     def min_magnitude(self) -> float:
         return min(self.min_arc, self.min_segment)
 
 
-def _contour_points(alpha: float, eps: float, samples: int):
-    """The arc and the near-real leg of the expanding contour, ``samples``
-    points each; both end at the arc start, at height sqrt(eps)."""
+def _contour_points():
+    """The arc and the near-real leg of the expanding contour, 25 points
+    each; both end at the arc start, at height 1e-2."""
+    alpha, eps = _CONTOUR_RADIUS, _CONTOUR_EPS
     end = complex(math.sqrt(alpha * alpha - eps), math.sqrt(eps))
-    theta = np.linspace(math.atan2(end.imag, end.real), math.pi / 2.0, samples)
+    theta = np.linspace(math.atan2(end.imag, end.real), math.pi / 2.0, _CONTOUR_SAMPLES)
     arc = alpha * (np.cos(theta) + 1j * np.sin(theta))
     start = complex(1.0 - eps, 0.0)
-    return arc, start + np.linspace(0.0, 1.0, samples) * (end - start)
+    return arc, start + np.linspace(0.0, 1.0, _CONTOUR_SAMPLES) * (end - start)
 
 
-def contour_magnitude_check(a, b: float, alpha: float = 6.0,
-                            eps: float = 1e-4, samples: int = 80):
-    """Minimum of |F(z)| over the expanding contour's arc and near-real leg.
+def contour_magnitude_check(a, b: float):
+    """Minimum of |F(z)| over the expanding contour's arc and near-real leg,
+    25 points each.
 
-    The arc runs along |z| = alpha from just above the real axis to the
-    imaginary axis; the leg runs from 1-eps out to the arc start at height
-    sqrt(eps).  Points that fall on the excluded rays are skipped; a leg
-    with no point left is a DomainError, since it would check nothing.  The
-    default eps keeps the leg start far enough from the branch point at 1
-    for the continuation to hold its accuracy target.
+    The arc runs along |z| = 6 from just above the real axis to the
+    imaginary axis; the leg runs from 1 - 1e-4 out to the arc start at
+    height 1e-2.  That start keeps the leg far enough from the branch point
+    at 1 for the continuation to hold its accuracy target, and every point
+    off the excluded rays.
 
     A scalar ``a`` gives one ContourReport.  A 1-D ``a`` gives a list of
     reports, one per entry and each equal to its scalar call, from a single
@@ -196,32 +194,21 @@ def contour_magnitude_check(a, b: float, alpha: float = 6.0,
     """
     if np.ndim(a) > 1:
         raise DomainError(f"a must be a scalar or 1-D, got {np.ndim(a)} dimensions")
-    if not 1.0 <= alpha < math.inf:
-        raise DomainError(f"contour radius must be finite and >= 1, got {alpha}")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if samples < 2:
-        raise DomainError(f"need samples >= 2 on each leg, got {samples}")
-    z = np.concatenate(_contour_points(alpha, eps, samples))
-    keep = ~_on_excluded_ray(z)
-    if not (keep[:samples].any() and keep[samples:].any()):
-        raise DomainError(f"every point of a contour leg lies on the excluded rays (eps={eps})")
     a_col = np.asarray(a, dtype=float).reshape(-1, 1)
-    mag = np.full((a_col.shape[0], z.size), math.inf)
-    mag[:, keep] = np.abs(euler_continuation(z[keep], a_col, b))
-    reports = [ContourReport(a=float(a_i), b=b, alpha=alpha, eps=eps,
-                             min_arc=float(row[:samples].min()),
-                             min_segment=float(row[samples:].min()),
-                             skipped=int(z.size - keep.sum()))
+    mag = np.abs(euler_continuation(np.concatenate(_contour_points()), a_col, b))
+    n = _CONTOUR_SAMPLES
+    reports = [ContourReport(a=float(a_i), b=b, min_arc=float(row[:n].min()),
+                             min_segment=float(row[n:].min()))
                for a_i, row in zip(a_col[:, 0], mag)]
     return reports[0] if np.ndim(a) == 0 else reports
 
 
-def beta_bound_expression(b: float, r: float = 6.0) -> float:
-    """The closed-form lower-bound expression for the arc magnitude at
-    radius r; it stays above 1.003 at r = 6 for all b in [0, 1)."""
+def beta_bound_expression(b: float) -> float:
+    """The closed-form lower-bound expression for the arc magnitude at the
+    contour's radius r = 6; it stays above 1.003 for all b in [0, 1)."""
     if not 0.0 <= b < 1.0:
         raise DomainError("b must lie in [0, 1)")
+    r = _CONTOUR_RADIUS
     beta_norm = gamma_fn((1.0 - b) / 2.0) * gamma_fn(1.0 + b / 2.0) / gamma_fn(1.5)
     return (math.log(r / math.sqrt(2.0)) / math.sqrt(2.0)
             + r ** b * math.sqrt(1.0 - 1.0 / (r * r)) / (1.0 - b)) / beta_norm

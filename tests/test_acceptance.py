@@ -75,7 +75,7 @@ def test_criterion_03_grothendieck_ratio():
 def test_criterion_04_defect_certification():
     t0 = time.perf_counter()
     cg = krivine.inverse_coeff_grid(101, K=60)
-    cert = certify_defect(cg, t_odd=31)
+    cert = certify_defect(cg)
     assert cert.conditions_ok and cert.ok
     assert cert.h_err_max <= 0.0129
     x0 = ASINH1 / 1.00863
@@ -89,9 +89,9 @@ def test_criterion_04_defect_certification():
 
 def test_criterion_05_conditions_grid():
     t0 = time.perf_counter()
-    rep = check_conditions(krivine.inverse_coeff_grid(101, K=60), k_max=29)
+    rep = check_conditions(krivine.inverse_coeff_grid(101, K=60))
     assert rep.all_pass
-    origin = check_conditions(krivine.inverse_coeff_grid(([0.0], [0.0]), K=60), k_max=29)
+    origin = check_conditions(krivine.inverse_coeff_grid(([0.0], [0.0]), K=60))
     worst_eq = max(abs(m.worst_margin) for m in origin.margins if m.kind == "C1")
     elapsed = time.perf_counter() - t0
     assert worst_eq < 1e-12
@@ -117,7 +117,7 @@ def test_criterion_06_monte_carlo_identities(mc_f_ab):
 def test_criterion_07_hermite_quadrature():
     worst_odd = worst_even = 0.0
     for c in (0.0, 0.3, 0.7, 1.0):
-        for res in hermite_coeff_check(c, 15):
+        for res in hermite_coeff_check(c):
             k = int(res.target.rsplit("=", 1)[1].rstrip(")"))
             if k % 2 == 0:
                 worst_even = max(worst_even, abs(res.estimate))
@@ -171,7 +171,7 @@ def test_criterion_10_contour_suite():
     worst_arc = math.inf
     for a in (0.0, 0.25, 0.5, 0.75, 0.95):
         for b in (0.0, 0.25, 0.5, 0.75, 0.95):
-            rep = contour_magnitude_check(a, b, alpha=6.0, samples=25)
+            rep = contour_magnitude_check(a, b)
             worst_arc = min(worst_arc, rep.min_arc)
             assert rep.min_arc > 1.0, (a, b)
     beta_min = min(beta_bound_expression(b) for b in np.linspace(0.0, 0.999, 201))

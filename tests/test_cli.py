@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pqnorm.cli import main
+from pqnorm.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -133,6 +134,25 @@ class TestBounds:
         alone = capsys.readouterr()
         assert captured.err == alone.err and alone.out == ""
         assert captured.err.startswith("numerical error: tail estimate 5.021e-06 too large")
+        assert captured.err.endswith("c = 0.976185, hhat(c) = 1.0000, tail at c 5.021e-06, "
+                                     "fitted tail radius 1.071786\n")
+
+    @pytest.mark.parametrize("p,order,c,hhat", [("4", "300", "0.771929", "0.8093"),
+                                                ("inf", "100", "0.801238", "0.8898"),
+                                                ("4", "400", "0.428271", "0.4342")])
+    def test_bisection_stopped_at_the_tail_radius_is_named(self, p, order, c, hhat, capsys):
+        # the tail at c is tiny (2.988e-32 at order 300): the fitted tail is
+        # inf just past c, so the bisection stops there with hhat(c) far below 1
+        code = main(["bounds", "--p", p, "--order", order])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numerical error: bisection stopped at the fitted "
+                                       f"tail's radius, short of hhat(c) = 1: c = {c}, "
+                                       f"hhat(c) = {hhat}, tail at c ")
+        assert captured.err.endswith(f"fitted tail radius {c}\n")
+
+    def test_order_200_certifies_the_default_pair(self, capsys):
+        assert main(["bounds", "--p", "4", "--order", "200"]) == 0
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -150,8 +170,9 @@ def test_bounds_golden_output(name, argv, capsys):
 
 @pytest.mark.parametrize("name,argv", [
     ("verify_conditions.jsonl", ["verify", "conditions"]),
-    ("check_conditions_grid21.jsonl", ["check-conditions", "--grid", "21"]),
-    ("certify_defect_grid21.jsonl", ["certify-defect", "--grid", "21"]),
+    # the documented defaults, and a suite that reads neither flag
+    ("verify_conditions.jsonl", ["verify", "conditions", "--grid", "101", "--order", "60"]),
+    ("verify_contours.jsonl", ["verify", "contours", "--grid", "21", "--order", "100"]),
     ("verify_contours.jsonl", ["verify", "contours"]),
     ("verify_identities.jsonl", ["verify", "identities"]),
 ])
@@ -170,10 +191,11 @@ def test_certification_golden_output(name, argv, capsys):
     (["factorize"], "--order"), (["factorize"], "--grid"), (["factorize"], "--samples"),
     (["factorize"], "--tol"),
     (["verify", "conditions"], "--in"), (["verify", "conditions"], "--tol"),
-    (["check-conditions"], "--samples"), (["check-conditions"], "--seed"),
-    (["check-conditions"], "--in"), (["check-conditions"], "--tol"),
-    (["certify-defect"], "--samples"), (["certify-defect"], "--seed"),
-    (["certify-defect"], "--in"), (["certify-defect"], "--tol"),
+    # every suite shares the verify parser, which reads --order, --grid and --seed alone
+    (["verify", "conditions"], "--samples"), (["verify", "all"], "--samples"),
+    (["verify", "contours"], "--in"), (["verify", "contours"], "--tol"),
+    (["verify", "contours"], "--samples"), (["verify", "factorization"], "--p"),
+    (["verify", "factorization"], "--in"), (["verify", "factorization"], "--tol"),
     (["verify", "identities"], "--samples"),
 ])
 def test_flag_the_command_does_not_read_is_exit_2(command, flag, capsys):
@@ -182,6 +204,17 @@ def test_flag_the_command_does_not_read_is_exit_2(command, flag, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"unrecognized arguments: {flag} 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-conditions", "certify-defect"])
+def test_deleted_commands_are_invalid_choices(command, capsys):
+    # verify conditions prints everything both commands printed
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["bounds", "round", "factorize", "verify"]
 
 
 class TestRound:
@@ -434,8 +467,11 @@ class TestVerify:
 
     def test_domain_error_is_exit_2(self, capsys):
         # order below k_max makes the conditions check impossible
-        code, _ = run_main(["check-conditions", "--grid", "5", "--order", "10"], capsys)
-        assert code == 2
+        code = main(["verify", "conditions", "--grid", "5", "--order", "28"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("input error: the conditions for odd k <= 29 need order "
+                                "K >= 29, but the series stop at degree 27\n")
         # the suite reverts its grid first; an order below 1 is still an input error
         code, _ = run_main(["verify", "conditions", "--grid", "5", "--order", "0"], capsys)
         assert code == 2
@@ -537,19 +573,27 @@ class TestVerify:
 
 class TestConditionsCommands:
     def test_check_conditions(self, capsys):
-        code, out = run_main(["check-conditions", "--grid", "15"], capsys)
+        code, out = run_main(["verify", "conditions", "--grid", "15"], capsys)
         assert code == 0
         recs = [json.loads(l) for l in out.strip().splitlines()]
-        assert len(recs) == 15  # odd k = 1..29
+        # odd k = 1..29, then the certificate and the hhat line
+        assert [r["target"] for r in recs[:15]] == [
+            f"{'C1' if k % 4 == 1 else 'C2'}(k={k})" for k in range(1, 30, 2)]
+        assert [r["target"] for r in recs[15:]] == ["defect-certificate",
+                                                    "hhat-at-certified-point"]
 
     def test_certify_defect(self, capsys):
-        code, out = run_main(["certify-defect", "--grid", "15"], capsys)
+        # the defect-certificate line carries every number the retired
+        # certify-defect command printed, equal at grid 21
+        code, out = run_main(["verify", "conditions", "--grid", "21"], capsys)
         assert code == 0
-        rec = json.loads(out)
-        assert rec["pass"] and rec["h_err_max"] <= 0.0129
+        rec = json.loads(out.splitlines()[15])
+        assert rec == {"target": "defect-certificate", "pass": True, "t_odd": 31,
+                       "delta": math.asinh(0.974203), "grid_points": 441,
+                       "h_err_max": 1.008765523280491e-06,
+                       "rho_certified": 0.8630142103657821, "hhat_at_rho_max": 0.974203}
 
-    @pytest.mark.parametrize("argv", [["verify", "conditions", "--grid", "21"],
-                                      ["certify-defect", "--grid", "21"]])
+    @pytest.mark.parametrize("argv", [["verify", "conditions", "--grid", "21"]])
     def test_one_reversion_per_command(self, argv, monkeypatch, capsys):
         from pqnorm import _kernels
 
@@ -568,16 +612,16 @@ class TestConditionsCommands:
             assert code == 0
             assert rows == [231]  # the a >= b triangle of the 21 x 21 grid
 
-    @pytest.mark.parametrize("argv", [["check-conditions"], ["certify-defect"],
-                                      ["verify", "conditions"]])
+    @pytest.mark.parametrize("argv", [["verify", "conditions", "--order", "28"],
+                                      ["verify", "all"], ["verify", "conditions"]])
     def test_empty_grid_is_exit_2(self, argv, capsys):
         code = main(argv + ["--grid", "0"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "input error: grid 0 has no points\n"
 
-    @pytest.mark.parametrize("argv", [["check-conditions"], ["certify-defect"],
-                                      ["verify", "conditions"]])
+    @pytest.mark.parametrize("argv", [["verify", "conditions", "--order", "28"],
+                                      ["verify", "all"], ["verify", "conditions"]])
     def test_negative_grid_is_exit_2(self, argv, capsys):
         code = main(argv + ["--grid", "-3"])
         captured = capsys.readouterr()
@@ -587,9 +631,10 @@ class TestConditionsCommands:
     def test_divergent_tail_fails_with_finite_radius(self, capsys):
         # at order 100 the fitted tail diverges at some points: the
         # certificate fails at radius 0 instead of evaluating hhat at -inf
-        code, out = run_main(["certify-defect", "--grid", "21", "--order", "100"], capsys)
+        code, out = run_main(["verify", "conditions", "--grid", "21", "--order", "100"], capsys)
         assert code == 1 and capsys.readouterr().err == ""
-        rec = json.loads(out)
+        rec = json.loads(out.splitlines()[15])
+        assert rec["target"] == "defect-certificate"
         assert not rec["pass"] and rec["h_err_max"] >= 0.5
         assert rec["rho_certified"] == 0.0
         assert 0.0 <= rec["hhat_at_rho_max"] <= 1.0

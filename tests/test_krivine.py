@@ -229,13 +229,13 @@ class TestApproxRatio:
 
 class TestConditions:
     def test_small_grid_passes(self):
-        rep = check_conditions(inverse_coeff_grid(21, K=60), k_max=29)
+        rep = check_conditions(inverse_coeff_grid(21, K=60))
         assert rep.all_pass
         ks = [m.k for m in rep.margins]
         assert ks == list(range(1, 30, 2))
 
     def test_sin_margins_at_origin(self):
-        rep = check_conditions(inverse_coeff_grid(([0.0], [0.0]), K=60), k_max=5)
+        rep = check_conditions(inverse_coeff_grid(([0.0], [0.0]), K=60))
         by_k = {m.k: m for m in rep.margins}
         # k=5: f^{-1}_5 = 1/120, C1 at equality
         assert abs(by_k[5].worst_margin) < 1e-12
@@ -243,24 +243,23 @@ class TestConditions:
         assert by_k[3].worst_margin == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_kmax_validation(self):
-        cg = inverse_coeff_grid(5, K=60)  # odd degrees up to 59
-        check_conditions(cg, k_max=59)
-        with pytest.raises(DomainError):
-            check_conditions(cg, k_max=61)
-        with pytest.raises(DomainError):
-            check_conditions(cg, k_max=100)
+        # the conditions run to k = 29: order 29 keeps that degree, order 28
+        # stops at 27, and the error names both
+        assert check_conditions(inverse_coeff_grid(5, K=29)).margins[-1].k == 29
+        with pytest.raises(DomainError, match=r"need order K >= 29, .* stop at degree 27$"):
+            check_conditions(inverse_coeff_grid(5, K=28))
 
 
 class TestDefectCertificate:
     def test_certificate_on_coarse_grid(self):
-        cert = certify_defect(inverse_coeff_grid(31, K=60), t_odd=31)
+        cert = certify_defect(inverse_coeff_grid(31, K=60))
         assert cert.ok and cert.conditions_ok
         assert cert.h_err_max <= 0.0129
         assert cert.rho_certified >= math.asinh(0.974202) - 1e-9
         assert cert.hhat_at_rho_max <= 1.0 + 1e-9
 
     def test_trivial_at_a_equal_one(self):
-        cert = certify_defect(inverse_coeff_grid(([1.0], [0.5]), K=60), t_odd=31)
+        cert = certify_defect(inverse_coeff_grid(([1.0], [0.5]), K=60))
         assert cert.ok
         assert cert.h_err_max == 0.0
         assert cert.rho_certified == pytest.approx(math.asinh(0.974203), abs=1e-12)

@@ -7,6 +7,7 @@ import pytest
 from pqnorm.errors import AccuracyError, DomainError
 from pqnorm.krivine import NormPair, f_bar_w_coeffs, inverse_coeff_grid
 from pqnorm.oracles import (
+    _contour_points,
     beta_bound_expression,
     contour_inverse_coeff,
     contour_magnitude_check,
@@ -18,7 +19,7 @@ from pqnorm.oracles import (
     polar_f_ab,
 )
 from pqnorm.series import odd_horner
-from pqnorm.specfun import gaussian_moment_pow
+from pqnorm.specfun import _on_excluded_ray, gaussian_moment_pow
 
 LATTICE = (0.0, 0.3, 0.7, 1.0)
 
@@ -149,7 +150,7 @@ class TestGaussLaguerre:
 
 class TestHermite:
     def test_identity_function_is_h1(self):
-        res = {r.target: r for r in hermite_coeff_check(1.0, 7)}
+        res = {r.target: r for r in hermite_coeff_check(1.0)}
         assert res["hermite(c=1,k=1)"].estimate == pytest.approx(1.0, abs=1e-10)
         for k in (3, 5, 7):
             assert abs(res[f"hermite(c=1,k={k})"].estimate) < 1e-8
@@ -167,7 +168,7 @@ class TestHermite:
 
     def test_quadrature_matches_formula_to_1e6(self):
         for c in (0.0, 0.3, 0.7, 1.0):
-            for r in hermite_coeff_check(c, 15):
+            for r in hermite_coeff_check(c):
                 assert r.estimate == pytest.approx(r.reference, abs=1e-6)
 
     def test_reference_normalization(self):
@@ -185,13 +186,13 @@ class TestNoiseCorrelationCrosscheck:
 
 class TestContourMagnitude:
     def test_arc_exceeds_one_at_radius_six(self):
-        rep = contour_magnitude_check(0.0, 0.0, alpha=6.0, samples=40)
+        rep = contour_magnitude_check(0.0, 0.0)
         assert rep.min_arc > 1.0
         assert rep.min_segment > 1.0
 
     def test_several_exponent_pairs(self):
         for a, b in [(0.25, 0.75), (0.9, 0.1), (0.5, 0.5)]:
-            rep = contour_magnitude_check(a, b, alpha=6.0, samples=25)
+            rep = contour_magnitude_check(a, b)
             assert rep.min_magnitude > 1.0, (a, b)
 
     def test_beta_expression_bound(self):
@@ -199,61 +200,29 @@ class TestContourMagnitude:
         vals = [beta_bound_expression(b) for b in np.linspace(0.0, 0.999, 200)]
         assert min(vals) >= 1.003
 
-    def test_radius_validation(self):
-        with pytest.raises(DomainError):
-            contour_magnitude_check(0.1, 0.1, alpha=0.5)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_non_finite_radius_is_a_domain_error(self, alpha):
-        # used to report nan minima with RuntimeWarnings
-        with pytest.raises(DomainError, match="radius"):
-            contour_magnitude_check(0.1, 0.1, alpha=alpha)
-
     @pytest.mark.parametrize("b", [0.0, 0.5, 0.95])
     def test_array_a_matches_scalar_calls(self, b):
         a = [0.0, 0.25, 0.5, 0.75, 0.95]
-        reports = contour_magnitude_check(np.array(a), b, alpha=6.0, samples=25)
+        reports = contour_magnitude_check(np.array(a), b)
         assert isinstance(reports, list) and len(reports) == len(a)
         for a_i, rep in zip(a, reports):
-            assert rep == contour_magnitude_check(a_i, b, alpha=6.0, samples=25)
-
-    def test_array_a_with_skipped_points(self):
-        reports = contour_magnitude_check(np.array([0.3, 0.6]), 0.3, eps=1e-24, samples=10)
-        assert [r.skipped for r in reports] == [2, 2]
-        assert reports[1] == contour_magnitude_check(0.6, 0.3, eps=1e-24, samples=10)
+            assert rep == contour_magnitude_check(a_i, b)
 
     @pytest.mark.parametrize("bad", [1.0, -0.5, math.nan])
     def test_array_a_with_one_bad_entry_raises(self, bad):
         with pytest.raises(DomainError):
-            contour_magnitude_check(np.array([0.2, bad, 0.4]), 0.3, samples=10)
+            contour_magnitude_check(np.array([0.2, bad, 0.4]), 0.3)
 
     def test_two_dimensional_a_is_a_domain_error(self):
         with pytest.raises(DomainError, match="1-D"):
-            contour_magnitude_check(np.zeros((2, 2)), 0.3, samples=10)
+            contour_magnitude_check(np.zeros((2, 2)), 0.3)
 
-    @pytest.mark.parametrize("samples", [0, 1])
-    def test_too_few_samples_is_a_domain_error(self, samples):
-        # samples = 0 used to report min_arc = min_segment = inf, read as a pass
-        with pytest.raises(DomainError, match="samples"):
-            contour_magnitude_check(0.3, 0.3, samples=samples)
-
-    @pytest.mark.parametrize("eps", [-1e-4, 0.0, 1.0, 2.0])
-    def test_eps_outside_unit_interval_is_a_domain_error(self, eps):
-        with pytest.raises(DomainError, match="eps"):
-            contour_magnitude_check(0.3, 0.3, eps=eps, samples=10)
-
-    def test_points_on_the_rays_are_skipped(self):
-        # at eps = 1e-24 the leg rises 1e-12 over its length, so its first two
-        # points lie within the 1e-13 relative band of [1, inf)
-        rep = contour_magnitude_check(0.3, 0.3, eps=1e-24, samples=10)
-        assert rep.skipped == 2
-        assert 1.0 < rep.min_segment < rep.min_arc < math.inf
-
-    def test_leg_entirely_on_the_rays_is_a_domain_error(self):
-        # at eps = 1e-30 every leg point (and the arc start) is on the rays:
-        # 11 skipped, and a leg with nothing evaluated would check nothing
-        with pytest.raises(DomainError, match="excluded rays"):
-            contour_magnitude_check(0.3, 0.3, eps=1e-30, samples=10)
+    def test_no_contour_point_lies_on_the_rays(self):
+        # the leg ends 1e-2 above the real axis, so every point is evaluated
+        arc, leg = _contour_points()
+        assert arc.size == leg.size == 25
+        assert not _on_excluded_ray(np.concatenate([arc, leg])).any()
+        assert abs(arc) == pytest.approx(6.0, rel=1e-15)
 
 
 def test_observed_coefficient_decay_constant():

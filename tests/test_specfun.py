@@ -243,7 +243,7 @@ def hyp2f1_reference(z, a, b):
 
 
 class TestEulerContinuationArray:
-    CONTOUR = np.concatenate(_contour_points(6.0, 1e-4, 25))  # the verify-contours points
+    CONTOUR = np.concatenate(_contour_points())  # the verify-contours points
     LATTICE = [0.0, 0.25, 0.5, 0.75, 0.95]  # its exponents
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 0.95), (0.5, 0.25), (0.95, 0.95)])
