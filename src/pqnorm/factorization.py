@@ -125,8 +125,11 @@ def build_certificate(inst: ProblemInstance, s: np.ndarray,
     B and ||B||_2 come from ``_scaled``; weights with ||B||_2 above
     1 + _NORM_MARGIN raise ``DomainError``.  Certifies ||B||_2 <= 1, the
     exact reconstruction, and norm_product = ||D2||_{X->2} ||D1||_{2->Y}
-    = sqrt(||t||_{(p/2)*} ||s||_{(q*/2)*}) <= dual_value.  min_eigenvalue is
-    the scaled block matrix's lambda_min, 1 - ||B||_2.
+    = sqrt(||t||_{(p/2)*} ||s||_{(q*/2)*}) <= dual_value, the last in exact
+    arithmetic only: the two floats tie at the balanced point, and either can
+    round above the other (1e308, 7e307 at (inf,1): ...173e308 against
+    ...171e308) until item 1 of ROADMAP rounds the bounds outward.
+    min_eigenvalue is the scaled block matrix's lambda_min, 1 - ||B||_2.
     """
     A = inst.A
     s = np.asarray(s, dtype=np.float64)

@@ -1,5 +1,5 @@
-"""Gamma function, Gaussian moments, and the Euler-integral continuation of
-the correlation function off the unit disk."""
+"""Gamma function, Gaussian moments, Gauss rules, and the continuation of the
+correlation function off the unit disk by Gauss's hypergeometric series."""
 
 import functools
 import math
@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -70,22 +70,7 @@ def _on_excluded_ray(z):
             & (np.abs(z.real) >= 1.0 - 1e-13))
 
 
-#: nodes of the Gauss-Jacobi rule; the error check reruns with half as many
-_GJ_NODES = 192
-#: points per block, which bounds the (points, nodes) work arrays (~3 MB each;
-#: three times wider for the points of a block that take the graded rule)
-_GJ_BLOCK = 1024
-#: relative agreement of the two node counts that accepts a value
-_ACCEPT = 1e-9
-#: points with |1 - z^2| up to this skip that check for the graded rule: below
-#: ~3e-3 the Gauss-Jacobi error leaves its 1.4e-14 floor, up to 1.2e-10 by +-1
-_NEAR_BRANCH = 1e-2
-#: nodes per panel of the graded fallback rule, fine and coarse
-_GRADED_NODES = (20, 16)
-#: width ratio of neighbouring panels of the graded rule, and its panel levels
-_GRADE_RATIO = 0.25
-_GRADE_LEVELS = 28
-#: node rules each builder keeps per process, a few kB each (verify all uses 36)
+#: node rules each builder keeps per process, a few kB each (verify all uses 16 Gauss-Jacobi)
 _RULE_CACHE = 64
 
 
@@ -146,124 +131,176 @@ def _gauss_laguerre(n: int, alpha: float):
     return _gauss_rule(2.0 * k + 1.0 + alpha, np.sqrt(k * (k + alpha)), math.gamma(alpha + 1.0))
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE)
-def _euler_rule(n: int, b: float):
-    """The n-point rule for the normalised Euler integral along the parabola
-    t(s) = s (1 + i (1 - s)): the t-values at the nodes and the weights times
-    the smooth path factors (1 - i s)^{b/2} (1 + i (1 - s))^{-(1+b)/2}
-    (1 + i (1 - 2 s)).  The weights absorb (1-s)^{b/2} s^{-(1+b)/2}."""
-    x, w = _gauss_jacobi(n, b / 2.0, -(1.0 + b) / 2.0)
-    s = (1.0 + x) / 2.0
-    bend = 1.0 + 1j * (1.0 - s)
-    t = s * bend
-    path = (1.0 - 1j * s) ** (b / 2.0) * bend ** (-(1.0 + b) / 2.0) * (1.0 + 1j * (1.0 - 2.0 * s))
-    return _read_only(t, w * path)
+# f(z) = z 2F1(A, B; _C; w), w = z^2, A = (1-a)/2, B = (1-b)/2; each point
+# sums one series in x, its kind.  A point takes the first four kinds' x = w,
+# w/(w-1), 1-w, 1/w of least modulus if that is at most _RATIO; the rest,
+# |w| in [0.8, 1.25] at arguments of 40-87 degrees and their mirror images,
+# lie within 0.63 _W0_RADIUS of _W0 or its conjugate, and take x = w - _W0
+_DIRECT, _PFAFF, _ONE, _INV, _GAP, _ONE_LOG, _INV_LOG = range(7)
+_C, _RATIO = 1.5, 0.8
+_W0, _W0_RADIUS = 0.9 * np.exp(math.radians(64.0) * 1j), 0.9
+#: each series stops where |x|^n falls below this; for a connection formula
+#: also times its distance to the log case, by which its two terms cancel
+_TAIL = 1e-17
+#: within this distance of its log case, but not at it, a connection formula
+#: interpolates in A through six Chebyshev nodes of this radius around it
+_NEAR_LOG = 2e-3
+_NEAR_NODES = _NEAR_LOG * np.cos((2.0 * np.arange(6) + 1.0) * np.pi / 12.0)
+_gamma = np.vectorize(math.gamma, otypes=[float])
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE)
-def _graded_rule(n: int, expo: float):
-    """One side of the graded fallback rule, n nodes per panel: nodes v in
-    (0, 1) and weights, as read-only arrays.  The panels shrink by
-    _GRADE_RATIO toward v = 0, over _GRADE_LEVELS levels.  The panel
-    [_GRADE_RATIO, 1] is Gauss-Jacobi, its weight absorbing (1-v)^expo; every
-    other panel is Gauss-Legendre, with that factor folded into its weights."""
-    x, w = _gauss_jacobi(n, 0.0, 0.0)
-    hi = _GRADE_RATIO ** np.arange(1, _GRADE_LEVELS + 1)
-    lo = np.append(hi[1:], 0.0)
-    v = (lo[:, None] + (hi - lo)[:, None] * (1.0 + x) / 2.0).ravel()
-    wv = ((hi - lo)[:, None] * w).ravel()
-    xj, wj = _gauss_jacobi(n, expo, 0.0)
-    vj = _GRADE_RATIO + (1.0 - _GRADE_RATIO) * (1.0 + xj) / 2.0
-    wj = wj * (1.0 - _GRADE_RATIO) ** (1.0 + expo) / (1.0 + expo)
-    return _read_only(np.concatenate([vj, v]), np.concatenate([wj, wv * (1.0 - v) ** expo]))
+def _digamma(x):
+    """psi(x) for x > 0, elementwise: twelve steps of psi(x) = psi(x+1) - 1/x,
+    then the asymptotic series at x + 12; within 1e-15 of max(1, |psi|)."""
+    y = x + 12.0
+    r = 1.0 / (y * y)
+    tail = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r * (
+        1 / 132 - r * (691 / 32760 - r / 12))))))
+    return np.log(y) - 0.5 / y - tail - sum(1.0 / (x + k) for k in range(12))
 
 
-def _euler_graded(z, power, b: float):
-    """The continuation at the points ``z``, each with its own exponent
-    ``power`` = -(1-a)/2, by graded rules (see _graded_rule) on the real
-    segment, in s = sqrt(t):  2 int_0^1 (1-s^2)^{b/2} s^{-b}
-    (1-z^2 s^2)^power ds.  AccuracyError where the two node counts of
-    _GRADED_NODES disagree."""
-    w = np.where(z.real < 0, -z, z)[:, None]  # w^2 = z^2 and Re w >= 0
-    # the grading point, next to the branch point 1/w; kept off 0 by the
-    # finest panel width, so that the endpoint singularity s^{-b} stays in
-    # the left side's Gauss-Jacobi weight
-    c = np.clip((1.0 / w).real, _GRADE_RATIO ** _GRADE_LEVELS, 1.0)
-    p = power[:, None]
+def _hyp_terms(n, alpha, beta, gamma):
+    """Rows k < n of (alpha)_k (beta)_k / ((gamma)_k k!), a column per parameter."""
+    k = np.arange(n - 1.0)[:, None]
+    step = (alpha + k) * (beta + k) / ((gamma + k) * (k + 1.0))
+    return np.cumprod(np.vstack([np.ones((1, step.shape[1])), step]), axis=0)
 
-    def side(s, u, edge, wt):
-        # 1 - z^2 s^2 = (u + (1 - w) s)(1 + w s), each factor accurate
-        f = ((u + (1.0 - w) * s) * (1.0 + w * s)) ** p * (1.0 + s) ** (b / 2.0)
-        return (f * edge * wt).sum(axis=1)
 
-    vals = []
-    for n in _GRADED_NODES:
-        # [0, 1] splits at c: s = c (1 - v) to its left, s = c + (1 - c) v to
-        # its right, and u = 1 - s keeps its digits next to s = 1
-        v, wt = _graded_rule(n, -b)
-        s, u = c * (1.0 - v), (1.0 - c) + c * v
-        val = c[:, 0] ** (1.0 - b) * side(s, u, u ** (b / 2.0), wt)
-        if (c < 1.0).any():  # the right side is empty at c = 1 and adds 0
-            v, wt = _graded_rule(n, b / 2.0)
-            s, u = c + (1.0 - c) * v, (1.0 - c) * (1.0 - v)
-            val = val + (1.0 - c[:, 0]) ** (1.0 + b / 2.0) * side(s, u, s ** -b, wt)
-        vals.append(val)
-    # B((1-b)/2, 1+b/2)
-    beta = math.gamma((1.0 - b) / 2.0) * math.gamma(1.0 + b / 2.0) / math.gamma(1.5)
-    result, coarse = (2.0 * z * val / beta for val in vals)
-    miss = ~(np.abs(result - coarse) <= _ACCEPT * np.abs(result))
-    if miss.any():
-        i = np.flatnonzero(miss)[0]
-        raise AccuracyError(
-            f"graded quadrature did not converge to target accuracy at z={z[i]}",
-            achieved=complex(result[i]), error_estimate=float(abs(result[i] - coarse[i])),
-        )
-    return result
+def _formula(kind, A, B, n):
+    """A kind's coefficient columns, (n, A.size) each, and constant factors."""
+    G, C, k = _gamma, _C, np.arange(n)[:, None]
+    if kind in (_DIRECT, _PFAFF):
+        return [_hyp_terms(n, A, B if kind == _DIRECT else C - B, C)], []
+    if kind == _GAP:  # Taylor coefficients about _W0 by the hypergeometric equation,
+        # from the value and derivative there (400 terms, 0.9^400 ~ 5e-19)
+        j = np.arange(400.0)  # one sum per value, in an order no other value sets
+        t = [_hyp_terms(400, a, B, C)[:, 0] * _W0 ** j for a in A.tolist()]
+        c = [np.array([ti.sum() for ti in t]), np.array([(j * ti).sum() for ti in t]) / _W0]
+        p0, p1, q0 = _W0 * (1.0 - _W0), 1.0 - 2.0 * _W0, C - (A + B + 1.0) * _W0
+        for i in range(n - 2):
+            c.append(((i + A) * (i + B) * c[i] - (i + 1) * (p1 * i + q0) * c[i + 1])
+                     / (p0 * (i + 1) * (i + 2)))
+        return [np.array(c[:n])], []
+    if kind == _ONE:  # A&S 15.3.6; every Gamma of s - 1 from the one s
+        s = (C - A) - B
+        return ([_hyp_terms(n, A, B, 1.0 - s), _hyp_terms(n, C - A, C - B, 1.0 + s)],
+                [G(C) * G(s) / (G(C - A) * G(C - B)), G(C) * G(-s) / (G(A) * G(B))])
+    if kind == _INV:  # A&S 15.3.7
+        d = B - A
+        return ([_hyp_terms(n, A, A - C + 1.0, 1.0 - d), _hyp_terms(n, B, B - C + 1.0, 1.0 + d)],
+                [G(C) * G(d) / (G(B) * G(C - A)), G(C) * G(-d) / (G(A) * G(C - B))])
+    if kind == _ONE_LOG:  # A&S 15.3.11 with m = 1
+        u = _hyp_terms(n, A + 1.0, B + 1.0, 2.0)
+        psi = _digamma(A + k + 1.0) + _digamma(B + k + 1.0) - _digamma(k + 1.0) - _digamma(k + 2.0)
+        return [u, u * psi], [G(C) / (G(A + 1.0) * G(B + 1.0)), G(C) / (G(A) * G(B))]
+    # A&S 15.3.13, with e = C - A - 1 and the pole of psi(C - A - k) taken out:
+    # (-e)_k psi(1 + e - k) = (-e)_k (psi(1 + e) + H_k) + (1 - e)_{k-1}, with
+    # H_k = sum_{0<j<k} 1/(j - e); so c - a = 1 (a = b = 0) needs no limit
+    e = (C - A) - 1.0
+    u = _hyp_terms(n, A, -e, 1.0)
+    q = np.vstack([np.zeros((1, A.size)), A * _hyp_terms(n - 1, A + 1.0, 1.0 - e, 2.0) / k[1:]])
+    H = np.cumsum(np.vstack([np.zeros((2, A.size)), 1.0 / (k[1:-1] - e)]), axis=0)
+    psi = 2.0 * _digamma(k + 1.0) - _digamma(A + k) - _digamma(1.0 + e) - H
+    return [u, u * psi - q], [G(C) / (G(A) * G(C - A))]
+
+
+def _log_distance(kind, A, B):
+    """Distance to the log case a + b = 1 (x = 1 - w) or a = b (x = 1/w)."""
+    return np.where(kind == _ONE, ((_C - A) - B) - 1.0, np.where(kind == _INV, B - A, 1.0))
+
+
+def _hyp(w, A, B):
+    """2F1(A, B; 3/2; w) at the arrays w (nonzero) and A, all in one Horner loop."""
+    cand = np.stack([w, w / (w - 1.0), 1.0 - w, 1.0 / w])
+    kind = np.where(np.abs(cand).min(axis=0) <= _RATIO, np.abs(cand).argmin(axis=0), _GAP)
+    dist = _log_distance(kind, A, B)
+    is_near = (dist != 0.0) & (np.abs(dist) < _NEAR_LOG)
+    far, near = np.flatnonzero(~is_near), np.flatnonzero(is_near)
+    # each near point gives six rows at its own w, with A moved to the nodes
+    A_node = np.where(kind[near] == _ONE, (_C - B - 1.0) - _NEAR_NODES[:, None],
+                      B - _NEAR_NODES[:, None])
+    rows = np.concatenate([far, np.tile(near, 6)])
+    x, w, kind = cand[np.minimum(kind, _INV), np.arange(w.size)][rows], w[rows], kind[rows]
+    A = np.concatenate([A[far], A_node.ravel()])
+    d = _log_distance(kind, A, B)
+    kind = np.where(d == 0.0, kind + 3, kind)  # _ONE, _INV -> their log forms
+    up, gap = w.imag >= 0.0, kind == _GAP
+    x[gap] = np.where(up, w, w.conj())[gap] - _W0
+    rho = np.abs(x) / np.where(gap, _W0_RADIUS, 1.0)
+    cut = _TAIL * np.where((kind == _ONE) | (kind == _INV), np.minimum(1.0, np.abs(d)), 1.0)
+    n = np.maximum(np.ceil(np.log(cut) / np.log(np.maximum(rho, 1e-16))), 2.0)
+    coef = np.zeros((int(n.max()), 2, w.size), dtype=complex if gap.any() else float)
+    fac = np.zeros((2, w.size))
+    kinds = np.unique(kind).tolist()
+    for k in kinds:
+        sel = kind == k
+        vals, of = np.unique(A[sel], return_inverse=True)
+        cols, facs = _formula(k, vals, B, len(coef))
+        coef[:, :len(cols), sel] = np.stack(cols, axis=1)[:, :, of]
+        if facs:
+            fac[:len(facs), sel] = np.array(facs)[:, of]
+    # Horner, each row cut after its own n terms: the zeros above the cut
+    # leave the bits of the row's own shorter sum
+    coef = np.where(np.arange(len(coef))[:, None, None] < n, coef, 0.0)
+    S = coef[-1]
+    for c in coef[-2::-1]:
+        S = S * x + c
+    val = S[0].copy()  # _DIRECT and _GAP
+    for k in kinds:
+        sel = kind == k
+        xs, a, s0, s1, g0, g1 = x[sel], A[sel], S[0, sel], S[1, sel], fac[0, sel], fac[1, sel]
+        if k == _PFAFF:
+            val[sel] = np.exp(-a * np.log(1.0 - w[sel])) * s0
+        elif k == _ONE:
+            val[sel] = g0 * s0 + g1 * np.exp(((_C - a) - B) * np.log(xs)) * s1
+        elif k == _ONE_LOG:
+            val[sel] = g0 + g1 * xs * (np.log(xs) * s0 + s1)
+        elif k in (_INV, _INV_LOG):
+            L = np.log(-w[sel])
+            val[sel] = (g0 * np.exp(-a * L) * (L * s0 + s1) if k == _INV_LOG
+                        else g0 * np.exp(-a * L) * s0 + g1 * np.exp(-B * L) * s1)
+    val = np.where(gap & ~up, val.conj(), val)
+    out = np.empty(far.size + near.size, dtype=complex)
+    out[far] = val[:far.size]
+    if near.size:  # Lagrange interpolation to each near point's own distance
+        t, node_val = d[far.size:].reshape(6, -1), val[far.size:].reshape(6, -1)
+        out[near] = sum(math.prod((dist[near] - t[k]) / (t[j] - t[k]) for k in range(6) if k != j)
+                        * node_val[j] for j in range(6))
+    return out
 
 
 def euler_continuation(z, a, b: float):
-    """Analytic continuation of rho * 2F1((1-a)/2, (1-b)/2; 3/2; rho^2).
-
-    Evaluates  B((1-b)/2, 1+b/2)^{-1} * z * int_0^1 (1-t)^{b/2} /
-    (t^{(1+b)/2} (1-z^2 t)^{(1-a)/2}) dt,  valid on the plane cut along
-    (-inf,-1] and [1,inf).  Relative accuracy 1e-8 for |z| <= 10, next to
-    the branch points +-1 included.  Complex powers take the principal branch.
+    """Analytic continuation of rho * 2F1((1-a)/2, (1-b)/2; 3/2; rho^2) to
+    the plane cut along (-inf,-1] and [1,inf), on principal branches: within
+    1e-14 relative of 30-digit mpmath on the `verify contours` points and
+    1e-12 for |z| <= 10, next to +-1 and to the log cases a = b and a + b =
+    1 included.
 
     ``z`` and ``a`` are scalars or arrays that broadcast against each other;
-    ``b`` is a scalar, because the node rules depend on it alone.  Two
-    scalars give a Python complex, anything else an ndarray of the broadcast
-    shape, and each point's value has the same bits as a scalar call with
-    its own ``z`` and ``a``.  Any non-finite point, any point on the
-    excluded rays and any ``a`` or ``b`` outside [0, 1) raises DomainError.
+    ``b`` is one scalar.  Two scalars give a Python complex, anything else an
+    ndarray of the broadcast shape, and each point's value has the same bits
+    as a scalar call with its own ``z`` and ``a``.  Any non-finite point,
+    any point on the excluded rays and any ``a`` or ``b`` outside [0, 1)
+    raises DomainError.
 
-    Method: a 192-node Gauss-Jacobi rule, whose weight absorbs both endpoint
-    singularities, along the parabola t(s) = s (1 + i sigma (1-s)) with
-    sigma = sign Im(z^2) (+1 when that is 0).  The parabola bends away from
-    the branch point 1/z^2, and the cut {u/z^2 : u >= 1} lies on the other
-    side of [0, 1], so by Cauchy's theorem the value is unchanged.  The
-    power is exp(power * log(1 - z^2 t)), the same bits as the complex
-    power, with each log taken once per distinct z and shared by every
-    ``a``.  A point with |1 - z^2| <= 1e-2 (next to +-1, where 1/z^2 sits
-    just past t = 1) goes straight, at its own ``a``, to a graded composite
-    rule on the real segment, in s = sqrt(t); any other point goes there
-    unless its 192- and 96-node values agree to 1e-9 relative.  [0, 1]
-    splits at c = |Re(1/z)| clipped to [4^-28, 1], the foot of the nearer
-    branch point, and each side is cut into 29 panels whose widths shrink
-    by 4 toward c.
-    The panels at 0 and 1 are Gauss-Jacobi with weights s^{-b} and
-    (1-s)^{b/2}, the rest Gauss-Legendre, and 1 - z^2 s^2 is formed as a
-    product of two factors that keep their digits next to the branch point.
-    Its 20- and 16-node values must agree to 1e-9 relative, or AccuracyError
-    is raised.  The node rules are built once per process (a few ms each)
-    and shared by every later call; pass many points and exponents as one
-    array, which shares each log across every ``a``.
+    Method: with w = z^2, A = (1-a)/2 and B = (1-b)/2, a point takes the
+    series of least ratio |x| if that is at most 0.8: the power series
+    (x = w), Pfaff's (1-w)^{-A} 2F1(A, 3/2-B; 3/2; w/(w-1)), or Gauss's
+    connection formulas in x = 1 - w and 1/w (Abramowitz & Stegun 15.3.6,
+    15.3.7), which take their log forms at a + b = 1 and a = b (A&S 15.3.11
+    with m = 1; 15.3.13, with the pole of psi taken out for a = b = 0) and
+    interpolate in A through six Chebyshev nodes within 2e-3 of either.
+    The rest, near |w| = 1 at arguments 40-87 degrees and their mirror
+    images, take one Taylor step of the hypergeometric equation about 0.9
+    e^{+-64i deg}.  A series stops after the terms its own |x| needs, and
+    the Gamma factors are taken once per distinct ``a``.  Below |z| = 1e-100
+    the value is z.
     """
     if np.ndim(b) != 0 or not 0 <= b < 1:
         raise DomainError(f"exponent b must be a scalar in [0,1), got b={b}")
-    b = float(b)  # a key of the cached node rules
+    b = float(b)
     scalar = np.ndim(z) == 0 and np.ndim(a) == 0
-    z_in = np.asarray(z, dtype=complex)
-    z, a = np.broadcast_arrays(z_in, np.asarray(a, dtype=float))
+    z, a = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(a, dtype=float))
     bad_a = ~((a >= 0) & (a < 1))
     if bad_a.any():
         raise DomainError(f"exponent a must lie in [0,1), got a={a[bad_a].flat[0]}")
@@ -273,33 +310,10 @@ def euler_continuation(z, a, b: float):
     on_ray = _on_excluded_ray(z)
     if on_ray.any():
         raise DomainError(f"z={z[on_ray].flat[0]} lies on the excluded real rays |Re z| >= 1")
-    flat, a_flat = z.ravel(), a.ravel()
-    # each point's index into z_in: the points of one z share its logarithms
-    z_of = np.broadcast_to(np.arange(z_in.size).reshape(z_in.shape), z.shape).ravel()
-    z_in = z_in.ravel()
-    power = -(1.0 - a_flat) / 2.0
-    out = np.zeros_like(flat)
-    todo = np.flatnonzero(flat)
-    if todo.size:
-        rules = [_euler_rule(n, b) for n in (_GJ_NODES, _GJ_NODES // 2)]
-        for lo in range(0, todo.size, _GJ_BLOCK):
-            idx = todo[lo:lo + _GJ_BLOCK]
-            near = np.abs(1.0 - flat[idx] ** 2) <= _NEAR_BRANCH
-            miss, idx = idx[near], idx[~near]
-            distinct, of = np.unique(z_of[idx], return_inverse=True)
-            z2 = z_in[distinct] ** 2
-            down = z2.imag < 0  # sigma = -1: integrate at conj(z^2), conjugate back
-            z2[down] = z2[down].conjugate()
-            # (1 - z^2 t)^power as exp(power log(1 - z^2 t)), the same bits
-            full, half = ((np.exp(power[idx, None] * np.log(1.0 - z2[:, None] * t)[of]) * hw)
-                          .sum(axis=1) for t, hw in rules)
-            ok = np.abs(full - half) <= _ACCEPT * np.abs(full)
-            flip = down[of]
-            full[flip] = full[flip].conjugate()
-            out[idx[ok]] = flat[idx[ok]] * full[ok]
-            miss = np.concatenate([miss, idx[~ok]])
-            if miss.size:
-                out[miss] = _euler_graded(flat[miss], power[miss], b)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z.shape)
+    flat = z.ravel()
+    out = flat.copy()
+    big = np.flatnonzero(np.abs(flat) >= 1e-100)
+    if big.size:
+        A = (1.0 - a.ravel()[big]) / 2.0
+        out[big] = flat[big] * _hyp(flat[big] ** 2, A, (1.0 - b) / 2.0)
+    return complex(out[0]) if scalar else out.reshape(z.shape)

@@ -62,8 +62,7 @@ class TestMonteCarloCorrelation:
         assert res.sigmas <= 4.0
 
     def test_lattice_at_4_sigma(self, mc_f_ab):
-        # rho = 0.99 is past where the cut series of correlation_reference
-        # raises AccuracyError; the polar reference holds there
+        # the polar reference holds at rho = 0.99 as well
         for i, (a, b) in enumerate([(0.0, 0.3), (0.7, 1.0), (1.0, 1.0), (0.3, 0.7)]):
             for rho in (0.2, 0.8, 0.99):
                 res = mc_f_ab(a, b, rho, N=100_000, seed=100 + i)
@@ -78,13 +77,36 @@ class TestMonteCarloCorrelation:
 
 class TestCorrelationReference:
     @pytest.mark.parametrize("rho", [0.95, 0.99, -0.99, 0.999])
-    def test_cut_tail_past_1e13_is_accuracy_error(self, rho):
+    def test_past_the_cut_tail_the_continuation_answers(self, rho):
         # at a = b = 0 the normalised series is arcsin(rho); the bound on the
-        # cut tail must cover what the K = 400 partial sum misses of it
-        with pytest.raises(AccuracyError, match="tail") as exc:
-            correlation_reference(0.0, 0.0, rho)
-        assert abs(exc.value.achieved - math.asin(rho)) <= exc.value.error_estimate
-        assert exc.value.error_estimate > 1e-13 * abs(exc.value.achieved)
+        # cut tail must cover what the K = 400 partial sum misses of it, and
+        # past 1e-13 of it the continuation gives arcsin(rho)
+        F = f_bar_w_coeffs(0.0, 0.0, 199)
+        partial = float(odd_horner(F, rho))
+        tail = float(F[-1]) * abs(rho) ** (2 * F.size + 1) / (1.0 - rho * rho)
+        assert abs(partial - math.asin(rho)) <= tail
+        assert tail > 1e-13 * abs(partial)
+        assert correlation_reference(0.0, 0.0, rho) == pytest.approx(
+            2.0 / math.pi * math.asin(rho), rel=1e-14)
+
+    @pytest.mark.parametrize("rho", [0.95, 0.99, 0.999999, 1.0, -1.0])
+    def test_lattice_against_mpmath(self, rho):
+        # the identity lattice holds a = 1 and b = 1, where the series is
+        # exact, and (0.3, 0.7), whose float sum is next to the log case
+        # a + b = 1; at |rho| = 1 the value is Gauss's sum
+        for a in LATTICE:
+            for b in LATTICE:
+                with mpmath.workdps(30):
+                    A, B, r = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(rho)
+                    ref = float(2 ** ((A + B) / 2 + 1) * mpmath.gamma(1 + A / 2)
+                                * mpmath.gamma(1 + B / 2) / mpmath.pi
+                                * r * mpmath.hyp2f1((1 - A) / 2, (1 - B) / 2, 1.5, r * r))
+                assert abs(correlation_reference(a, b, rho) - ref) <= 1e-12 * abs(ref), (a, b)
+
+    @pytest.mark.parametrize("rho", [1.5, -1.0000001, math.nan])
+    def test_correlation_outside_unit_interval_is_a_domain_error(self, rho):
+        with pytest.raises(DomainError, match="correlation"):
+            correlation_reference(0.2, 0.2, rho)
 
     def test_lattice_keeps_the_series_value(self):
         # up to rho = 0.8 the check passes and leaves the K = 400 value alone
@@ -125,7 +147,8 @@ class TestPolarCorrelation:
 
     @pytest.mark.parametrize("rho", [0.99, 0.999, -0.999])
     def test_near_full_correlation_against_mpmath(self, rho):
-        # correlation_reference truncates its series too early here
+        # against mpmath itself, not correlation_reference, which the
+        # polar rule checks elsewhere
         for a in LATTICE:
             for b in LATTICE:
                 ref = (math.gamma(1.0 + a / 2.0) * math.gamma(1.0 + b / 2.0)

@@ -237,14 +237,64 @@ class TestEulerContinuation:
 
 
 def hyp2f1_reference(z, a, b):
-    """z * 2F1((1-a)/2, (1-b)/2; 3/2; z^2) in mpmath, principal branch."""
-    return np.array([complex(zi * mpmath.hyp2f1((1 - a) / 2, (1 - b) / 2, 1.5, zi * zi))
-                     for zi in np.ravel(z)]).reshape(np.shape(z))
+    """z * 2F1((1-a)/2, (1-b)/2; 3/2; z^2) in 30-digit mpmath, principal
+    branch, at the float z and upper parameters the continuation takes."""
+    A, B = (1.0 - a) / 2.0, (1.0 - b) / 2.0
+    with mpmath.workdps(30):
+        return np.array([complex(mpmath.mpc(zi) * mpmath.hyp2f1(A, B, 1.5, mpmath.mpc(zi) ** 2))
+                         for zi in np.ravel(z)]).reshape(np.shape(z))
+
+
+def test_digamma_against_mpmath():
+    x = np.concatenate([np.geomspace(1e-4, 200.0, 300), np.linspace(0.01, 20.0, 300)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.digamma(v)) for v in x])
+    assert np.all(np.abs(specfun._digamma(x) - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+# a - b and a + b - 1 at +-1e-4 and +-1e-8 (both at once around (0.5, 0.5)),
+# and two float pairs whose sum rounds next to 1
+NEAR_LOG_PAIRS = ([(base + d, b) for base, b in [(0.25, 0.25), (0.75, 0.25), (0.5, 0.5)]
+                   for d in (1e-4, -1e-4, 1e-8, -1e-8)] + [(0.3, 0.7), (0.1, 0.9)])
 
 
 class TestEulerContinuationArray:
     CONTOUR = np.concatenate(_contour_points())  # the verify-contours points
     LATTICE = [0.0, 0.25, 0.5, 0.75, 0.95]  # its exponents
+
+    def test_every_contour_evaluation_against_mpmath(self):
+        # the 1,250 values `verify contours` takes: 50 points at 25 pairs
+        for b in self.LATTICE:
+            val = euler_continuation(self.CONTOUR[None, :], np.array(self.LATTICE)[:, None], b)
+            for a, row in zip(self.LATTICE, val):
+                ref = hyp2f1_reference(self.CONTOUR, a, b)
+                assert np.all(np.abs(row - ref) <= 1e-14 * np.abs(ref)), (a, b)
+
+    @pytest.mark.parametrize("a,b", NEAR_LOG_PAIRS)
+    def test_next_to_the_log_cases_against_mpmath(self, a, b):
+        # the generic connection formulas divide by the distance to the log
+        # case: (0.3, 0.7) sums to 1 in floats, but its A + B is one ulp off
+        # 1/2, where the generic formula gives f(-0.8) = -0.775, not -0.8233
+        z = np.concatenate([self.CONTOUR, [1 - 1e-4, -0.8, 0.9999 + 1e-7j]])
+        val = euler_continuation(z, a, b)
+        ref = hyp2f1_reference(z, a, b)
+        assert np.all(np.abs(val - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.3, 0.7), (0.5, 0.5), (0.2, 0.9),
+                                     (0.95, 0.1), (0.999, 0.999), (0.6, 0.35), (0.1, 0.12)])
+    def test_seeded_sweep_against_mpmath(self, a, b):
+        # 300 points of |z| <= 10 and 51 of |z| = 1, where only the Taylor
+        # step converges fast for arguments of z^2 near +-60 degrees; every
+        # point also keeps the bits of its scalar call
+        rng = np.random.default_rng(49)
+        ring = np.exp(1j * np.pi * (np.arange(48) + 0.5) / 24)
+        z = np.concatenate([10.0 * np.sqrt(rng.random(300)) * np.exp(2j * np.pi * rng.random(300)),
+                            ring, [1j, np.exp(1j * np.pi / 6), np.exp(-1j * np.pi / 6)]])
+        assert not specfun._on_excluded_ray(z).any()
+        val = euler_continuation(z, a, b)
+        ref = hyp2f1_reference(z, a, b)
+        assert np.all(np.abs(val - ref) <= 1e-12 * np.abs(ref))
+        assert val.tobytes() == np.array([euler_continuation(zi, a, b) for zi in z]).tobytes()
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 0.95), (0.5, 0.25), (0.95, 0.95)])
     def test_contour_points_against_mpmath(self, a, b):
@@ -263,20 +313,32 @@ class TestEulerContinuationArray:
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.95, 0.95), (0.3, 0.999)])
     def test_matches_scalar_calls(self, a, b):
-        # the contour includes z = 1 - 1e-4, which goes through the graded rule
+        # the contour's points take the connection formulas in 1 - z^2 and
+        # 1/z^2, the second in its log form at (0, 0) and (0.95, 0.95), each
+        # point with its own number of terms
         val = euler_continuation(self.CONTOUR, a, b)
         assert all(v == euler_continuation(z, a, b) for z, v in zip(self.CONTOUR, val))
         assert type(euler_continuation(self.CONTOUR[3], a, b)) is complex
 
     @pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 0.75, 0.95])
     def test_batched_exponents_match_scalar_exponent_calls(self, b):
-        # bit for bit, including z = 1 - 1e-4, which goes through the graded
-        # rule at its own a
+        # bit for bit, including the log forms at a = b and a + b = 1
         a = np.array([0.0, 0.25, 0.5, 0.75, 0.95, 0.2, 0.999])
         val = euler_continuation(self.CONTOUR[None, :], a[:, None], b)
         assert val.shape == (a.size, self.CONTOUR.size)
         for a_i, row in zip(a, val):
             assert row.tobytes() == euler_continuation(self.CONTOUR, float(a_i), b).tobytes()
+
+    def test_batched_exponents_match_scalar_calls_off_the_contour(self):
+        # bit for bit at every kind of series: the Taylor step (both mirror
+        # images), Pfaff, the power series, both connection formulas, and the
+        # interpolation next to a = b
+        z = np.array([np.exp(1j * np.pi / 6), np.exp(-1j * np.pi / 6), 0.95 * np.exp(0.6j),
+                      1.0j, 0.3 + 0.2j, 0.99 + 0.01j, 2.0 + 1.0j])
+        a = np.array([0.2, 0.35, 0.35 + 1e-8, 0.65, 0.0])
+        val = euler_continuation(z[None, :], a[:, None], 0.35)
+        for a_i, row in zip(a, val):
+            assert row.tobytes() == np.array([euler_continuation(zi, a_i, 0.35) for zi in z]).tobytes()
 
     def test_exponent_array_shapes(self):
         # a scalar z and a scalar a give a Python complex; an array of either
@@ -293,10 +355,10 @@ class TestEulerContinuationArray:
             euler_continuation(self.CONTOUR[None, :], np.array([[0.0], [bad], [0.5]]), 0.3)
 
     def test_array_b_is_a_domain_error(self):
-        # the node rules depend on b alone, so b stays one scalar per call
+        # every Gamma factor of a call shares b, so b stays one scalar per call
         with pytest.raises(DomainError, match="exponent b"):
             euler_continuation(0.5j, 0.2, np.array([0.2, 0.3]))
-        # a 0-d array is one scalar, which keys the cached rules as a float
+        # a 0-d array is one scalar
         assert euler_continuation(0.5j, 0.2, np.array(0.3)) == euler_continuation(0.5j, 0.2, 0.3)
 
     def test_shape_and_exact_zero(self):
@@ -318,41 +380,14 @@ class TestEulerContinuationArray:
         with pytest.raises(DomainError):
             euler_continuation(np.array([0.5j, bad, 3.0 + 1.0j]), 0.2, 0.2)
 
-    def test_fallback_only_next_to_the_branch_point(self, monkeypatch):
-        # the 50 contour points at (0.5, 0.5) and their mirror images, whose
-        # path bends the other way: only z = 1 - 1e-4 needs the graded rule
-        points = []
-        graded = specfun._euler_graded
-
-        def counting(z, *args):
-            points.extend(z.tolist())
-            return graded(z, *args)
-
-        monkeypatch.setattr(specfun, "_euler_graded", counting)
-        for z in (self.CONTOUR, self.CONTOUR.conj()):
-            points.clear()
-            euler_continuation(z, 0.5, 0.5)
-            assert points == [1.0 - 1e-4]
-
-    def test_branch_leg_start_against_mpmath(self, monkeypatch):
+    def test_branch_leg_start_against_mpmath(self):
         # z = 1 - 1e-4 starts the contour's near-real leg.  |1 - z^2| ~ 2e-4
-        # sends it straight to the graded rule at all 25 lattice pairs, good
-        # to 1e-14; at (0.95, 0.95) the 192 and 96 nodes agree to 1.6e-10,
-        # so the Gauss-Jacobi value, 1.05e-12 off, used to pass their check
-        graded_b = []
-        graded = specfun._euler_graded
-
-        def counting(z, power, b):
-            graded_b.append(b)
-            return graded(z, power, b)
-
-        monkeypatch.setattr(specfun, "_euler_graded", counting)
+        # puts it in the connection formula in 1 - z^2 at all 25 lattice
+        # pairs, in its log form at a + b = 1
         for a in self.LATTICE:
             for b in self.LATTICE:
-                graded_b.clear()
                 val = euler_continuation(1.0 - 1e-4, a, b)
                 ref = complex(hyp2f1_reference(1.0 - 1e-4, a, b))
-                assert graded_b == [b]
                 assert abs(val - ref) <= 1e-14 * abs(ref), (a, b)
 
     @pytest.mark.parametrize("z", [1 - 1e-6, 1 - 1e-9, -(1 - 1e-8), 0.9999 + 1e-7j,
@@ -360,8 +395,7 @@ class TestEulerContinuationArray:
     def test_next_to_the_branch_points_against_mpmath(self, z):
         # within 1e-6 of +-1 the continuation used to raise AccuracyError
         # (z = 0.999999, a = 0.2, b = 0.9), and later passed values 1.2e-10
-        # off at (0.95, 0.95); the graded rule is 2.5e-14 off at worst, at
-        # z = -(1 - 1e-8)
+        # off at (0.95, 0.95)
         a = np.array(self.LATTICE + [0.2])
         for b in self.LATTICE + [0.9]:
             val = euler_continuation(z, a, b)
@@ -369,35 +403,15 @@ class TestEulerContinuationArray:
             assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref)), b
 
     @pytest.mark.parametrize("b", [0.0, 0.5, 0.95, 0.999])
-    def test_graded_rule_against_mpmath(self, b):
-        # the fallback on its own, at grading points c = |Re 1/z| of 1 (next
-        # to +-1), inside (0, 1), and 0 (the imaginary axis, where the
-        # endpoint singularity s^{-b} meets the grading point)
+    def test_hard_points_against_mpmath(self, b):
+        # next to +-1, on the imaginary axis, tiny and far out, at a = 0 and
+        # next to both ends of [0, 1)
         z = np.array([1 - 1e-4, -(1 - 1e-9), 0.99999 - 2e-6j, 0.3 - 2.0j, -4.0 - 0.01j,
                       10 + 0.1j, 1e-8 + 1e-8j, 0.5j, 10j, 50j])
         for a in (0.0, 0.5, 0.999):
-            val = specfun._euler_graded(z, np.full(z.size, -(1 - a) / 2), b)
+            val = euler_continuation(z, a, b)
             ref = hyp2f1_reference(z, a, b)
             assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref)), a
-
-    def test_graded_rule_disagreement_is_accuracy_error(self, monkeypatch):
-        # with 3 and 2 nodes per panel the two values part beyond 1e-9, so
-        # the check must refuse them rather than return the finer one
-        monkeypatch.setattr(specfun, "_GRADED_NODES", (3, 2))
-        with pytest.raises(AccuracyError, match="graded quadrature") as err:
-            specfun._euler_graded(np.array([0.5j, 1 - 1e-4]), np.array([-0.5, -0.25]), 0.5)
-        assert err.value.error_estimate > 1e-9 * abs(err.value.achieved)
-
-    def test_graded_rule_weights(self):
-        # each side's weights integrate its endpoint factor (1-v)^{-b} or
-        # (1-v)^{b/2} over [0, 1], and the nodes fill (0, 1)
-        for b in (0.0, 0.5, 0.999):
-            for n in specfun._GRADED_NODES:
-                for expo in (-b, b / 2):
-                    v, w = specfun._graded_rule(n, expo)
-                    assert 0 < v.min() and v.max() < 1
-                    assert w.sum() == pytest.approx(1 / (1 + expo), rel=1e-13)
-                    assert np.dot(w, v) == pytest.approx(1 / ((1 + expo) * (2 + expo)), rel=1e-13)
 
     def test_gauss_jacobi_legendre_case(self, cold_rules):
         # alpha + beta = 0 makes the recurrence's general diagonal 0/0 at
@@ -425,8 +439,7 @@ class TestEulerContinuationArray:
 class TestRuleCache:
     # one key per cached builder, as the commands call them
     RULES = [(specfun._gauss_jacobi, (192, 0.25, -0.75)), (specfun._gauss_jacobi, (64, 0.3, 0.7)),
-             (specfun._gauss_laguerre, (24, 0.15)), (specfun._euler_rule, (96, 0.5)),
-             (specfun._graded_rule, (20, -0.5)), (specfun._graded_rule, (16, 0.25))]
+             (specfun._gauss_laguerre, (24, 0.15))]
 
     @pytest.mark.parametrize("builder, key", RULES)
     def test_cached_rule_equals_a_fresh_build(self, builder, key):
@@ -455,14 +468,16 @@ class TestRuleCache:
         assert rule.cache_info().misses == size + 2
 
 
-# every Gauss rule `verify all` builds: the contour suite's two main rules
-# per b and its graded panels, the identity suite's 64-node correlation
-# pieces, and its 24-node Hermite rules
-JACOBI_KEYS = sorted({(n, b / 2, -(1 + b) / 2) for b in cli._CONTOUR_LATTICE for n in (192, 96)}
-                     | {(n, -b, 0.0) for b in cli._CONTOUR_LATTICE for n in (20, 16)}
-                     | {(64, e1, e2) for e1 in cli._IDENTITY_LATTICE
+# every Gauss rule `verify all` builds: the identity suite's 64-node
+# correlation pieces and its 24-node Hermite rules
+IDENTITY_KEYS = sorted({(64, e1, e2) for e1 in cli._IDENTITY_LATTICE
                         for e2 in cli._IDENTITY_LATTICE})
 LAGUERRE_KEYS = sorted({(24, c / 2) for c in cli._IDENTITY_LATTICE + (0.5,)})
+# the nodes are checked at those keys and at harder ones: endpoint exponents
+# from -0.975 to 0.475 at up to 192 nodes, and the Legendre case
+JACOBI_KEYS = sorted(set(IDENTITY_KEYS)
+                     | {(n, b / 2, -(1 + b) / 2) for b in cli._CONTOUR_LATTICE for n in (192, 96)}
+                     | {(n, -b, 0.0) for b in cli._CONTOUR_LATTICE for n in (20, 16)})
 
 
 class TestGaussRules:
@@ -485,7 +500,7 @@ class TestGaussRules:
                             recording("laguerre", specfun._gauss_laguerre))
         assert cli.main(["verify", "all"]) == 0
         capsys.readouterr()
-        assert sorted(built["jacobi"]) == JACOBI_KEYS and len(JACOBI_KEYS) == 36
+        assert sorted(built["jacobi"]) == IDENTITY_KEYS and len(IDENTITY_KEYS) == 16
         assert sorted(built["laguerre"]) == LAGUERRE_KEYS and len(LAGUERRE_KEYS) == 5
 
     @pytest.mark.parametrize("key", JACOBI_KEYS)
