@@ -311,7 +311,7 @@ class DefectCertificate:
     h_err_max: float
     rho_certified: float
     hhat_at_rho_max: float
-    conditions_ok: bool
+    conditions: ConditionsReport
     ok: bool
     grid_size: int
 
@@ -352,7 +352,7 @@ def certify_defect(cg: CoeffGrid) -> DefectCertificate:
         h_err_max=float(np.max(h_err)),
         rho_certified=float(np.min(rho)),
         hhat_at_rho_max=float(np.max(hhat_at_rho)),
-        conditions_ok=conds.all_pass,
+        conditions=conds,
         ok=ok,
         grid_size=int(cg.a.size),
     )

@@ -1,7 +1,6 @@
-"""Gamma function, Gaussian moments, Gauss rules, and the continuation of the
-correlation function off the unit disk by Gauss's hypergeometric series."""
+"""Gamma function, Gaussian moments, and the continuation of the correlation
+function off the unit disk by Gauss's hypergeometric series."""
 
-import functools
 import math
 import sys
 
@@ -68,67 +67,6 @@ def _on_excluded_ray(z):
     z = np.asarray(z, dtype=complex)
     return ((np.abs(z.imag) <= 1e-13 * np.maximum(1.0, np.abs(z)))
             & (np.abs(z.real) >= 1.0 - 1e-13))
-
-
-#: node rules each builder keeps per process, a few kB each (verify all uses 16 Gauss-Jacobi)
-_RULE_CACHE = 64
-
-
-def _read_only(*arrays):
-    """The arrays of a cached rule, locked: every caller shares them."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
-def _gauss_rule(diag, off, mass=1.0):
-    """The Gauss rule, weights summing to ``mass``, of the orthonormal p_k with
-    p_0 = 1 and off[k+1] p_{k+1} = (x - diag[k]) p_k - off[k] p_{k-1} (Golub &
-    Welsch, Math. Comp. 23, 1969): the Jacobi matrix's eigenvalues after one
-    Newton step on p_n, and the Christoffel numbers 1 / sum_{k<n} p_k^2."""
-    n = diag.size
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], -1))
-    d, o = diag.tolist(), off.tolist() + [1.0]  # off[n] := 1 keeps the zeros of p_n
-    p_prev, p, dp_prev, dp = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
-    for j in range(n):
-        t = x - d[j]
-        p_prev, p, dp_prev, dp = (p, (t * p - o[j] * p_prev) / o[j + 1],
-                                  dp, (p + t * dp - o[j] * dp_prev) / o[j + 1])
-    x = x - p / dp
-    p_prev, p, acc = np.zeros(n), np.ones(n), np.ones(n)
-    for j in range(n - 1):
-        p_prev, p = p, ((x - d[j]) * p - o[j] * p_prev) / o[j + 1]
-        acc += p * p
-    w = 1.0 / acc
-    return _read_only(x, w / w.sum() * mass)
-
-
-@functools.lru_cache(maxsize=_RULE_CACHE)
-def _gauss_jacobi(n: int, alpha: float, beta: float):
-    """Nodes and weights of the n-point Gauss rule for (1-x)^alpha (1+x)^beta
-    on [-1, 1], scaled so the weights sum to 1, as read-only arrays built once
-    per process by _gauss_rule.  Its Christoffel weights hold the first moment
-    to a few 1e-12 next to a strong endpoint singularity, where weights taken
-    from eigenvectors lose it (3e-9 off at beta = -0.975, n = 192)."""
-    k = np.arange(n, dtype=float)
-    s = 2.0 * k + alpha + beta
-    # diag[0] apart: the general form is 0/0 there when alpha + beta = 0
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
-    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
-    off = np.zeros(n)
-    off[1:] = np.sqrt(4.0 * k[1:] * (k[1:] + alpha) * (k[1:] + beta) * (k[1:] + alpha + beta)
-                      / (s[1:] ** 2 * (s[1:] + 1.0) * (s[1:] - 1.0)))
-    return _gauss_rule(diag, off)
-
-
-@functools.lru_cache(maxsize=_RULE_CACHE)
-def _gauss_laguerre(n: int, alpha: float):
-    """Nodes and weights of the n-point Gauss rule for s^alpha e^{-s} on
-    [0, inf), summing to the weight's mass Gamma(alpha + 1), as read-only
-    arrays built once per process by _gauss_rule."""
-    k = np.arange(n, dtype=float)
-    return _gauss_rule(2.0 * k + 1.0 + alpha, np.sqrt(k * (k + alpha)), math.gamma(alpha + 1.0))
 
 
 # f(z) = z 2F1(A, B; _C; w), w = z^2, A = (1-a)/2, B = (1-b)/2; each point
@@ -280,8 +218,9 @@ def euler_continuation(z, a, b: float):
     ``b`` is one scalar.  Two scalars give a Python complex, anything else an
     ndarray of the broadcast shape, and each point's value has the same bits
     as a scalar call with its own ``z`` and ``a``.  Any non-finite point,
-    any point on the excluded rays and any ``a`` or ``b`` outside [0, 1)
-    raises DomainError.
+    any point whose square z*z is not finite (from |z| ~ 1.34e154 on), any
+    point on the excluded rays and any ``a`` or ``b`` outside [0, 1) raises
+    DomainError.
 
     Method: with w = z^2, A = (1-a)/2 and B = (1-b)/2, a point takes the
     series of least ratio |x| if that is at most 0.8: the power series
@@ -314,6 +253,11 @@ def euler_continuation(z, a, b: float):
     out = flat.copy()
     big = np.flatnonzero(np.abs(flat) >= 1e-100)
     if big.size:
+        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+            w = flat[big] ** 2
+        bad_w = ~np.isfinite(w)
+        if bad_w.any():
+            raise _past_float_range(f"z^2 at z={flat[big][bad_w][0]}")
         A = (1.0 - a.ravel()[big]) / 2.0
-        out[big] = flat[big] * _hyp(flat[big] ** 2, A, (1.0 - b) / 2.0)
+        out[big] = flat[big] * _hyp(w, A, (1.0 - b) / 2.0)
     return complex(out[0]) if scalar else out.reshape(z.shape)

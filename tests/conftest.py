@@ -6,19 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pqnorm import specfun
 from pqnorm.errors import DomainError
 from pqnorm.oracles import polar_f_ab
 from pqnorm.relaxation import _holder_rows, unit_rows
 from pqnorm.specfun import gaussian_moment_pow
-
-
-@pytest.fixture
-def cold_rules():
-    """Empties every node-rule cache of specfun, so that a test counts the
-    rules a command builds from a cold start whatever ran before it."""
-    for rule in (specfun._gauss_jacobi, specfun._gauss_laguerre):
-        rule.cache_clear()
 
 
 @dataclass
@@ -57,7 +48,7 @@ def _mc_f_ab(a: float, b: float, rho: float, N: int, seed: int = 0) -> SampledId
 def mc_f_ab():
     """Monte Carlo estimate of E sgn(g1)|g1|^a sgn(g2)|g2|^b over N pairs of
     rho-correlated standard Gaussians, against the polar quadrature
-    reference, which holds 1e-12 up to |rho| = 0.999."""
+    reference, which holds 1e-13 relative up to |rho| = 1 - 1e-12."""
     return _mc_f_ab
 
 

@@ -76,7 +76,7 @@ def test_criterion_04_defect_certification():
     t0 = time.perf_counter()
     cg = krivine.inverse_coeff_grid(101, K=60)
     cert = certify_defect(cg)
-    assert cert.conditions_ok and cert.ok
+    assert cert.conditions.all_pass and cert.ok
     assert cert.h_err_max <= 0.0129
     x0 = ASINH1 / 1.00863
     worst = krivine.hhat_grid_max(cg, x0)

@@ -38,6 +38,17 @@ def run_main(args, capsys):
     return code, out
 
 
+def count_calls(monkeypatch, owner, name, counter):
+    """Adds one to counter[0] at each call of owner.name."""
+    fn = getattr(owner, name)
+
+    def wrapper(*a, **k):
+        counter[0] += 1
+        return fn(*a, **k)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 class TestBounds:
     def test_single_pair_row(self, capsys):
         code, out = run_main(["bounds", "--p", "4", "--q", "dual"], capsys)
@@ -476,54 +487,39 @@ class TestVerify:
         code, _ = run_main(["verify", "conditions", "--grid", "5", "--order", "0"], capsys)
         assert code == 2
 
-    def test_contours_make_one_continuation_call_per_b(self, monkeypatch, capsys, cold_rules):
+    def test_contours_make_one_continuation_call_per_b(self, monkeypatch, capsys):
         # 25 (a, b) pairs of 50 contour points: one continuation call per b
-        # covers all five a.  The continuation sums closed-form series, so
-        # even from cold the command builds no Gauss rule and calls no
-        # numpy.linalg function.  The three inversion-formula pairs evaluate
+        # covers all five a.  The three inversion-formula pairs evaluate
         # their correlation series once each, for all four k.
-        import numpy as np
         from scipy import integrate
 
-        from pqnorm import oracles, specfun
+        from pqnorm import oracles
 
-        calls, series, quad_calls, linalg_calls = [0], [0], [0], [0]
-
-        def count(owner, name, counter):
-            fn = getattr(owner, name)
-
-            def wrapper(*a, **k):
-                counter[0] += 1
-                return fn(*a, **k)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        count(oracles, "euler_continuation", calls)
-        count(oracles, "f_bar_w_coeffs", series)
-        count(integrate, "quad", quad_calls)
-        for name in np.linalg.__all__:
-            if not isinstance(getattr(np.linalg, name), type):
-                count(np.linalg, name, linalg_calls)
+        calls, series, quad_calls = [0], [0], [0]
+        count_calls(monkeypatch, oracles, "euler_continuation", calls)
+        count_calls(monkeypatch, oracles, "f_bar_w_coeffs", series)
+        count_calls(monkeypatch, integrate, "quad", quad_calls)
         code, out = run_main(["verify", "contours"], capsys)
         assert code == 0 and len(out.splitlines()) == 38
         assert calls[0] == 5
-        assert linalg_calls[0] == 0
-        assert specfun._gauss_jacobi.cache_info().misses == 0
         assert series[0] == 3
         assert quad_calls[0] == 0
 
-    def test_identities_build_each_rule_once(self, capsys, cold_rules):
-        # the 48 correlation values take two 64-node Gauss-Jacobi pieces each
-        # (96 builds before the rules were cached), from 16 distinct rules,
-        # one per ordered exponent pair of the lattice.  The Hermite checks
-        # and crosschecks take one Gauss-Laguerre rule per exponent c: the
-        # lattice's four and 0.5
-        from pqnorm import specfun
+    @pytest.mark.parametrize("argv", [["bounds"], ["verify", "identities"],
+                                      ["verify", "conditions"], ["verify", "contours"]],
+                             ids=["bounds", "identities", "conditions", "contours"])
+    def test_certification_commands_call_no_linalg(self, argv, monkeypatch, capsys):
+        # they sum series and closed forms and build no node rule, so they
+        # make no numpy.linalg call
+        import numpy as np
 
-        code, _ = run_main(["verify", "identities"], capsys)
+        linalg_calls = [0]
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                count_calls(monkeypatch, np.linalg, name, linalg_calls)
+        code, _ = run_main(argv, capsys)
         assert code == 0
-        assert specfun._gauss_jacobi.cache_info().misses == 16
-        assert specfun._gauss_laguerre.cache_info().misses == 5
+        assert linalg_calls[0] == 0
 
     def test_contours_revert_once(self, monkeypatch, capsys):
         # the three inversion-formula pairs share one reversion

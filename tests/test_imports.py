@@ -1,11 +1,12 @@
 """The package's import surface and its dependencies.  Every exported name
-resolves, and no command loads scipy: the Gauss rules of the contour and
-identity suites come from their three-term recurrences in numpy, and scipy
-is only a reference for the tests, in the test extra with the other
-third-party modules the tests import.
+resolves, and no command loads scipy: the contour and identity suites sum
+closed-form series and exact sums in numpy and the standard library, and
+build no node rule.  scipy is only a reference for the tests, in the test
+extra with the other third-party modules the tests import, and the package
+loads no numpy.polynomial module either.
 
-The scipy cases run in a fresh interpreter, since this test process has
-scipy loaded already."""
+These cases run in a fresh interpreter, since this test process has scipy
+loaded already."""
 
 import ast
 import json
@@ -21,16 +22,17 @@ import pqnorm
 
 SRC = str(Path(pqnorm.__file__).resolve().parents[1])
 
-_REPORT = ("import json, sys\n"
-           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+_REPORT = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
-def scipy_modules_after(code: str) -> list:
+def modules_after(code: str, package: str = "scipy") -> list:
+    """The modules of ``package`` loaded after ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code + "\n" + _REPORT], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    return [m for m in json.loads(done.stdout.splitlines()[-1])
+            if m == package or m.startswith(package + ".")]
 
 
 def test_every_export_resolves():
@@ -41,7 +43,13 @@ def test_every_export_resolves():
 
 @pytest.mark.parametrize("module", ["pqnorm", "pqnorm.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}") == []
+    assert modules_after(f"import {module}") == []
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # the Hermite check sums integer Hermite coefficients and needs no
+    # polynomial classes, which take about 3 ms to import
+    assert modules_after("from pqnorm import cli", "numpy.polynomial") == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -56,16 +64,16 @@ def test_command_loads_no_scipy(argv, tmp_path):
     argv = argv + ([str(matrix)] if argv[-1] == "--in" else []) + [
         "--out", str(tmp_path / "out.txt")]
     code = f"from pqnorm.cli import main\nassert main({argv!r}) == 0"
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 @pytest.mark.parametrize("suite", ["contours", "identities", "all"])
 def test_verify_suites_load_no_scipy(suite, tmp_path):
-    # the contour suite's Gauss-Jacobi rules and the identity suite's
-    # Gauss-Jacobi and Gauss-Laguerre rules are built in numpy
+    # the contour suite sums hypergeometric series, and the identity suite
+    # a tanh-sinh rule with closed-form nodes and exact Hermite sums
     argv = ["verify", suite, "--out", str(tmp_path / "out.txt")]
     code = f"from pqnorm.cli import main\nassert main({argv!r}) == 0"
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 def pyproject():

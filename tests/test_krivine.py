@@ -253,7 +253,7 @@ class TestConditions:
 class TestDefectCertificate:
     def test_certificate_on_coarse_grid(self):
         cert = certify_defect(inverse_coeff_grid(31, K=60))
-        assert cert.ok and cert.conditions_ok
+        assert cert.ok and cert.conditions.all_pass
         assert cert.h_err_max <= 0.0129
         assert cert.rho_certified >= math.asinh(0.974202) - 1e-9
         assert cert.hhat_at_rho_max <= 1.0 + 1e-9

@@ -96,6 +96,32 @@ class TestTransformedGram:
         assert np.all(d <= 1.0 + 1e-12) and np.all(d >= 1.0 - 1e-4)
         assert np.allclose(d, d[0], atol=1e-12)
 
+    @pytest.mark.parametrize("p, q", [(math.inf, 1.0), (4.0, 4.0 / 3.0)])
+    def test_rank_one_input_takes_the_repair(self, p, q, monkeypatch):
+        # a rank-one 30x150 input leaves the transformed Gram 1e-13 short of
+        # PSD; the repaired factor stays within 1e-12 of the unrepaired
+        # matrix, and the rounding stays between CP / ratio and CP
+        rng = np.random.default_rng(5)
+        inst = ProblemInstance(np.outer(rng.standard_normal(30), rng.standard_normal(150)),
+                               NormPair(p, q))
+        sol = solve_cp(inst, seed=0)
+        report = approx_ratio(inst.pair)
+        seen = []
+
+        def recording(M, _eigh=np.linalg.eigh):
+            seen.append(M.copy())
+            return _eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        tg = build_transformed_gram(sol, inst.pair, report.c_ab, report.inverse)
+        monkeypatch.undo()
+        assert 0.0 < tg.psd_repair_shift < 1e-12
+        FFt = tg.factor @ tg.factor.T
+        assert np.max(np.abs(FFt - tg.M)) <= 1e-12
+        assert np.max(np.abs(FFt - seen[0])) <= 1e-12
+        assert np.max(np.abs(np.diag(FFt) - np.diag(seen[0]))) <= 1e-12
+        rs = sample_round(inst, tg, num_samples=2000, seed=0)
+        assert sol.value / report.ratio - 1e-9 <= rs.value <= sol.value * (1.0 + 1e-9)
 
 class TestSampleRound:
     def test_feasibility_on_unit_spheres(self):
