@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pqnorm import oracles
 from pqnorm.errors import AccuracyError, DomainError
 from pqnorm.krivine import NormPair, f_bar_w_coeffs, inverse_coeff_grid
 from pqnorm.oracles import (
@@ -176,6 +177,35 @@ class TestPolarCorrelation:
             polar_f_ab(0.2, 0.2, rho)
 
 
+class TestTanhSinhRule:
+    """polar_f_ab's fixed rule on [0, 1] on its own, at the endpoint powers
+    the identity suite gives it."""
+
+    @pytest.mark.parametrize("e1", LATTICE)
+    @pytest.mark.parametrize("e2", LATTICE)
+    def test_beta_integral_to_1e15(self, e1, e2):
+        # int_0^1 (1-u)^e1 u^e2 du = B(e1 + 1, e2 + 1)
+        val = float(np.dot(oracles._TS_W, oracles._TS_V ** e1 * oracles._TS_U ** e2))
+        ref = float(mpmath.beta(e1 + 1, e2 + 1))
+        assert abs(val - ref) <= 1e-15 * ref
+
+    def test_rule_is_symmetric_and_integrates_one(self):
+        # the nodes mirror exactly, so u and 1 - u swap; the weights to rounding
+        assert np.array_equal(oracles._TS_U, oracles._TS_V[::-1])
+        assert np.max(np.abs(oracles._TS_W - oracles._TS_W[::-1])) <= 1e-17
+        assert abs(oracles._TS_W.sum() - 1.0) <= 4.4e-16
+
+    def test_complement_keeps_its_relative_accuracy(self):
+        # 1 - u by subtraction is 0 at the right end; 1 / (1 + e^{2s}) is
+        # within 2 ulp of 30-digit mpmath down to 6e-38
+        v, s = oracles._TS_V, oracles._TS_S
+        assert np.all(v > 0.0) and np.any(1.0 - oracles._TS_U == 0.0)
+        with mpmath.workdps(30):
+            worst = max(abs(float((vi - 1 / (1 + mpmath.exp(2 * mpmath.mpf(si)))) / vi))
+                        for vi, si in zip(v, s))
+        assert worst <= 4.4e-16
+
+
 class TestGaussLaguerre:
     @pytest.mark.parametrize("c", LATTICE)
     def test_hermite_coefficients_to_1e12_up_to_k_35(self, c):
@@ -223,6 +253,12 @@ class TestHermite:
                 ref = (mpmath.sqrt(mpmath.factorial(k)) * moment * mpmath.rf((1 - cm) / 2, j)
                        * mpmath.power(-0.5, j) / (mpmath.rf(1.5, j) * mpmath.factorial(j)))
                 assert abs(hermite_coeff_numeric(c, k) - float(ref)) <= 1e-15, k
+
+    @pytest.mark.parametrize("k", range(3, 36, 2))
+    def test_identity_function_coefficients_past_k_1_are_exactly_0(self, k):
+        # sgn(tau)|tau| = tau = He_1; the integer sum cancels exactly, where a
+        # float sum leaves up to 9e-12 from k = 27 on
+        assert hermite_coeff_numeric(1.0, k) == 0.0
 
 
 class TestNoiseCorrelationCrosscheck:

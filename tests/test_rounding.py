@@ -123,6 +123,7 @@ class TestTransformedGram:
         rs = sample_round(inst, tg, num_samples=2000, seed=0)
         assert sol.value / report.ratio - 1e-9 <= rs.value <= sol.value * (1.0 + 1e-9)
 
+
 class TestSampleRound:
     def test_feasibility_on_unit_spheres(self):
         rng = np.random.default_rng(21)
