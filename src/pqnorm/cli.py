@@ -135,17 +135,16 @@ def _suite_identities(args):
     # does not depend on --seed
     for a in _IDENTITY_LATTICE:
         for b in _IDENTITY_LATTICE:
-            for rho in _IDENTITY_RHOS:
+            refs = oracles.correlation_reference(a, b, np.array(_IDENTITY_RHOS))
+            for rho, ref in zip(_IDENTITY_RHOS, refs):
                 yield _identity(f"correlation(a={a:g},b={b:g},rho={rho:g})",
-                                oracles.polar_f_ab(a, b, rho),
-                                oracles.correlation_reference(a, b, rho), 1e-12)
+                                oracles.polar_f_ab(a, b, rho), float(ref), 1e-12)
     for c in _IDENTITY_LATTICE:
         for res in oracles.hermite_coeff_check(c):
             yield _identity(res.target, res.estimate, res.reference, 1e-12)
     for a, b in [(0.0, 0.0), (0.3, 0.7), (0.5, 0.5)]:
-        for rho in (0.5, 0.8):
-            # the series is cut at k = 35, so its tail sets the tolerance
-            res = oracles.noise_correlation_crosscheck(a, b, rho)
+        # the series is cut at k = 35, so its tail sets the tolerance
+        for res in oracles.noise_correlation_crosscheck(a, b, (0.5, 0.8)):
             yield _identity(res.target, res.estimate, res.reference, 1e-5)
 
 

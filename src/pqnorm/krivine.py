@@ -222,12 +222,10 @@ def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
     functions below take the result, so one reversion can serve several of
     them.
 
-    f_bar is symmetric in a <-> b, so the int grid reverts only its a >= b
-    triangle, n(n+1)/2 rows, and writes each row to both (a, b) and (b, a).
-    The reversion at (b, a) differs from that at (a, b) only by round-off
-    (at most 3.4e-16 absolute at K 60 on the 101 grid, 3.8e-8 at K 200), so
-    a max over the grid can move in its last digits against a reversion of
-    every point.  Explicit arrays revert every point as given.
+    f_bar is symmetric in a <-> b, and so is the kernel's arithmetic: the
+    int grid reverts only its a >= b triangle, n(n+1)/2 rows, and writes
+    each row to both (a, b) and (b, a), with the bits a reversion of every
+    point gives.  Explicit arrays revert every point as given.
     """
     if K < 1:
         raise DomainError("order K must be >= 1")
@@ -241,16 +239,14 @@ def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
         vals = np.linspace(0.0, 1.0, grid)
         i, j = np.tril_indices(grid)  # i >= j, so a >= b
         G = np.empty((grid, grid, M + 1))
-        G[i, j] = G[j, i] = _kernels.revert_odd_batch(f_bar_w_coeffs(vals[i], vals[j], M))
+        G[i, j] = G[j, i] = _kernels.revert_odd_batch(vals[i], vals[j], M)
         a, b = np.meshgrid(vals, vals, indexing="ij")
         return CoeffGrid(a.ravel(), b.ravel(), G.reshape(-1, M + 1))
     a, b = (np.asarray(v, dtype=np.float64) for v in grid)
-    if a.shape != b.shape:
-        raise DomainError(f"grid arrays differ in shape: a {a.shape}, b {b.shape}")
     if a.size == 0:
         raise DomainError(f"grid {grid!r} has no points")
     a, b = a.ravel(), b.ravel()
-    return CoeffGrid(a, b, _kernels.revert_odd_batch(f_bar_w_coeffs(a, b, M)))
+    return CoeffGrid(a, b, _kernels.revert_odd_batch(a, b, M))
 
 
 @dataclass

@@ -33,28 +33,33 @@ class IdentityCheckResult:
     reference: float
 
 
-def correlation_reference(a: float, b: float, rho: float) -> float:
+def correlation_reference(a: float, b: float, rho):
     """gamma_{a+1}^{a+1} gamma_{b+1}^{b+1} * rho * 2F1(...; rho^2), the
-    closed form the quadrature is checked against, for |rho| <= 1.
+    closed form the quadrature is checked against, for |rho| <= 1: a float
+    for a scalar ``rho``, and for an array one series evaluated at all its
+    entries, each equal to its scalar call.
 
     The series is cut at order K = 400, which is exact at a = 1 or b = 1.
     Every ratio of consecutive coefficients F[m+1] / F[m] is below 1, so the
     cut tail is at most F[M] |rho|^(2M+3) / (1 - rho^2), M = (K - 1) // 2.
     Past 1e-13 of the value (from |rho| ~ 0.945 on at a = b = 0) the value
     is euler_continuation's, and Gauss's sum at |rho| = 1."""
-    if not -1.0 <= rho <= 1.0:
+    r = np.array(rho, dtype=np.float64, ndmin=1)
+    if not np.all(np.abs(r) <= 1.0):
         raise DomainError("correlation must lie in [-1, 1]")
-    K = _CORRELATION_ORDER
     pair = NormPair.from_ab(a, b)
-    F = f_bar_w_coeffs(pair.a, pair.b, (K - 1) // 2)
-    val = float(odd_horner(F, rho))
-    r2 = rho * rho
-    tail = float(F[-1]) * abs(rho) ** (2 * F.size + 1) / (1.0 - r2) if r2 < 1.0 else math.inf
-    if not tail <= 1e-13 * abs(val):
-        A, B = (1.0 - pair.a) / 2.0, (1.0 - pair.b) / 2.0
-        val = (euler_continuation(rho, pair.a, pair.b).real if r2 < 1.0 else math.copysign(
-            gamma_fn(1.5) * gamma_fn(1.5 - A - B) / (gamma_fn(1.5 - A) * gamma_fn(1.5 - B)), rho))
-    return gaussian_moment_pow(a + 1.0) * gaussian_moment_pow(b + 1.0) * val
+    F = f_bar_w_coeffs(pair.a, pair.b, (_CORRELATION_ORDER - 1) // 2)
+    val, r2 = odd_horner(F, r), r * r
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan at r2 = 1: far
+        far = ~(F[-1] * np.abs(r) ** (2 * F.size + 1) / (1.0 - r2) <= 1e-13 * np.abs(val))
+    cont, edge = far & (r2 < 1.0), far & (r2 == 1.0)
+    if cont.any():
+        val[cont] = euler_continuation(r[cont], pair.a, pair.b).real
+    A, B = (1.0 - pair.a) / 2.0, (1.0 - pair.b) / 2.0
+    val[edge] = np.copysign(gamma_fn(1.5) * gamma_fn(1.5 - A - B)
+                            / (gamma_fn(1.5 - A) * gamma_fn(1.5 - B)), r[edge])
+    ref = gaussian_moment_pow(a + 1.0) * gaussian_moment_pow(b + 1.0) * val
+    return float(ref[0]) if np.ndim(rho) == 0 else ref
 
 
 def polar_f_ab(a: float, b: float, rho: float) -> float:
@@ -142,19 +147,19 @@ def hermite_coeff_check(c: float) -> list:
             for k in range(16)]
 
 
-def noise_correlation_crosscheck(a: float, b: float, rho: float) -> IdentityCheckResult:
-    """Rebuild the correlation from numeric Hermite coefficients:
-    sum_k hat_a_k hat_b_k rho^k over odd k <= 35 must match the closed form.
+def noise_correlation_crosscheck(a: float, b: float, rhos) -> list:
+    """Rebuild the correlation from numeric Hermite coefficients at each rho
+    of ``rhos``: sum_k hat_a_k hat_b_k rho^k over odd k <= 35 must match the
+    closed form, which one correlation_reference call gives for all of them.
 
     The slowest coefficient decay (a = b = 0) needs k up to 35 to push the
     truncated tail below 1e-6 at rho = 0.8."""
-    total = sum(hermite_coeff_numeric(a, k) * hermite_coeff_numeric(b, k) * rho ** k
-                for k in range(1, 36, 2))
-    return IdentityCheckResult(
+    refs = correlation_reference(a, b, np.asarray(rhos, dtype=np.float64))
+    return [IdentityCheckResult(
         target=f"noise-correlation(a={a:g},b={b:g},rho={rho:g})",
-        estimate=total,
-        reference=correlation_reference(a, b, rho),
-    )
+        estimate=sum(hermite_coeff_numeric(a, k) * hermite_coeff_numeric(b, k) * rho ** k
+                     for k in range(1, 36, 2)),
+        reference=float(ref)) for rho, ref in zip(rhos, refs)]
 
 
 @dataclass

@@ -3,8 +3,9 @@ fitted geometric tail.
 
 Every series here is odd.  A row ``g`` stands for ``sum_m g[m] x^(2m+1)``:
 entry m is the coefficient of degree 2m+1.  A series truncated at order K
-keeps the ``(K - 1) // 2 + 1`` odd degrees up to K.  Reversion is
-:func:`pqnorm._kernels.revert_odd_batch`, one row per series.
+keeps the ``(K - 1) // 2 + 1`` odd degrees up to K.  The inverse of the
+correlation series, the one series reverted, comes one row per (a, b) from
+:func:`pqnorm._kernels.revert_odd_batch`.
 """
 
 from typing import NamedTuple

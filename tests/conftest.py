@@ -110,3 +110,20 @@ def rounding_moments():
     identity when it is 0 (the sign map forgets scale).  The denominator
     satisfies E ||P||_q^b ||Q||_{p*}^a <= gamma_{p*}^a gamma_q^b."""
     return _rounding_moments
+
+
+def _growing_rows(a, b, M):
+    G = np.empty((np.size(a), M + 1))
+    G[:, 0] = 1.0
+    G[:, 1:] = 1e-30 * 4.0 ** np.arange(1, M + 1)
+    return G
+
+
+@pytest.fixture
+def growing_rows():
+    """A stand-in for the reversion kernel, with its signature (a, b, M):
+    rows 1, then 1e-30 * 4^m at w-degree m, which grow, so the fitted tail
+    has radius 1/2, is tiny below it and inf from it on.  The real kernel's
+    rows decay, and no command meets such a row today; this drives the
+    paths that report a divergent tail."""
+    return _growing_rows

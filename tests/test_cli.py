@@ -126,9 +126,9 @@ class TestBounds:
         rows = []
         revert = _kernels.revert_odd_batch
 
-        def counting(F):
-            rows.append(F.shape[0])
-            return revert(F)
+        def counting(a, b, M):
+            rows.append(len(a))
+            return revert(a, b, M)
 
         monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
         code, _ = run_main(["bounds"], capsys)
@@ -148,22 +148,27 @@ class TestBounds:
         assert captured.err.endswith("c = 0.976185, hhat(c) = 1.0000, tail at c 5.021e-06, "
                                      "fitted tail radius 1.071786\n")
 
-    @pytest.mark.parametrize("p,order,c,hhat", [("4", "300", "0.771929", "0.8093"),
-                                                ("inf", "100", "0.801238", "0.8898"),
-                                                ("4", "400", "0.428271", "0.4342")])
-    def test_bisection_stopped_at_the_tail_radius_is_named(self, p, order, c, hhat, capsys):
-        # the tail at c is tiny (2.988e-32 at order 300): the fitted tail is
-        # inf just past c, so the bisection stops there with hhat(c) far below 1
-        code = main(["bounds", "--p", p, "--order", order])
+    def test_bisection_stopped_at_the_tail_radius_is_named(self, growing_rows, monkeypatch,
+                                                           capsys):
+        # the fitted tail is tiny below its radius 1/2 and inf from it on, so
+        # the bisection stops there with hhat(c) far below 1
+        from pqnorm import _kernels
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", growing_rows)
+        code = main(["bounds", "--p", "4"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("numerical error: bisection stopped at the fitted "
-                                       f"tail's radius, short of hhat(c) = 1: c = {c}, "
-                                       f"hhat(c) = {hhat}, tail at c ")
-        assert captured.err.endswith(f"fitted tail radius {c}\n")
+                                       "tail's radius, short of hhat(c) = 1: c = 0.500000, "
+                                       "hhat(c) = 0.5000, tail at c ")
+        assert captured.err.endswith("fitted tail radius 0.500000\n")
 
-    def test_order_200_certifies_the_default_pair(self, capsys):
-        assert main(["bounds", "--p", "4", "--order", "200"]) == 0
+    @pytest.mark.parametrize("argv", [["--p", "4", "--order", "200"],
+                                      ["--p", "inf", "--order", "100"],
+                                      ["--p", "inf", "--order", "200"],
+                                      ["--p", "4", "--order", "300"]])
+    def test_high_orders_certify(self, argv, capsys):
+        assert main(["bounds"] + argv) == 0
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -290,14 +295,20 @@ class TestRound:
         rows = []
         revert = _kernels.revert_odd_batch
 
-        def counting(F):
-            rows.append(F.shape[0])
-            return revert(F)
+        def counting(a, b, M):
+            rows.append(len(a))
+            return revert(a, b, M)
 
         monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
         code, _ = run_main(["round", "--in", str(path), "--samples", "100"], capsys)
         assert code == 0
         assert rows == [1]
+
+    @pytest.mark.parametrize("argv", [["--order", "100"],
+                                      ["--p", "4", "--q", "1.3333333333333333", "--order", "300"]])
+    def test_high_orders_certify(self, argv, sign_csv, capsys):
+        code, _ = run_main(["round", "--in", sign_csv, "--samples", "100"] + argv, capsys)
+        assert code == 0
 
     def test_zero_samples_is_exit_2(self, sign_csv, capsys):
         code, _ = run_main(["round", "--in", sign_csv, "--samples", "0"], capsys)
@@ -476,6 +487,18 @@ class TestVerify:
         outs = [run_main(["verify", "identities", "--seed", seed], capsys) for seed in ("0", "5")]
         assert outs[0] == outs[1] and outs[0][0] == 0
 
+    def test_identities_build_one_series_per_pair(self, monkeypatch, capsys):
+        # the correlation checks evaluate one series per (a, b) for all
+        # three rho, as the Hermite cross-checks do for both of theirs:
+        # 16 lattice pairs and 3 cross-check pairs
+        from pqnorm import oracles
+
+        series = [0]
+        count_calls(monkeypatch, oracles, "f_bar_w_coeffs", series)
+        code, out = run_main(["verify", "identities"], capsys)
+        assert code == 0 and len(out.splitlines()) == 118
+        assert series[0] == 16 + 3
+
     def test_domain_error_is_exit_2(self, capsys):
         # order below k_max makes the conditions check impossible
         code = main(["verify", "conditions", "--grid", "5", "--order", "28"])
@@ -528,9 +551,9 @@ class TestVerify:
         rows = []
         revert = _kernels.revert_odd_batch
 
-        def counting(F):
-            rows.append(F.shape[0])
-            return revert(F)
+        def counting(a, b, M):
+            rows.append(len(a))
+            return revert(a, b, M)
 
         monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
         code, _ = run_main(["verify", "contours"], capsys)
@@ -575,7 +598,7 @@ class TestConditionsCommands:
         rec = json.loads(out.splitlines()[15])
         assert rec == {"target": "defect-certificate", "pass": True, "t_odd": 31,
                        "delta": math.asinh(0.974203), "grid_points": 441,
-                       "h_err_max": 1.008765523280491e-06,
+                       "h_err_max": 1.0087655232804907e-06,
                        "rho_certified": 0.8630142103657821, "hhat_at_rho_max": 0.974203}
 
     @pytest.mark.parametrize("argv", [["verify", "conditions", "--grid", "21"]])
@@ -585,8 +608,8 @@ class TestConditionsCommands:
         rows = []
         revert = _kernels.revert_odd_batch
 
-        def counting(F):
-            G = revert(F)
+        def counting(a, b, M):
+            G = revert(a, b, M)
             rows.append(G.shape[0])
             return G
 
@@ -613,10 +636,16 @@ class TestConditionsCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == "input error: grid -3 has no points\n"
 
-    def test_divergent_tail_fails_with_finite_radius(self, capsys):
-        # at order 100 the fitted tail diverges at some points: the
-        # certificate fails at radius 0 instead of evaluating hhat at -inf
-        code, out = run_main(["verify", "conditions", "--grid", "21", "--order", "100"], capsys)
+    def test_conditions_pass_at_order_100(self, capsys):
+        assert main(["verify", "conditions", "--grid", "21", "--order", "100"]) == 0
+
+    def test_divergent_tail_fails_with_finite_radius(self, growing_rows, monkeypatch, capsys):
+        # where the fitted tail diverges the certificate fails at radius 0
+        # instead of evaluating hhat at -inf
+        from pqnorm import _kernels
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", growing_rows)
+        code, out = run_main(["verify", "conditions", "--grid", "21"], capsys)
         assert code == 1 and capsys.readouterr().err == ""
         rec = json.loads(out.splitlines()[15])
         assert rec["target"] == "defect-certificate"

@@ -23,6 +23,7 @@ from pqnorm.krivine import (
     steinberg_ratio,
 )
 from pqnorm.series import odd_horner, tail_fit
+from test_oracles import mp_inverse_coeffs
 
 ASINH1 = math.asinh(1.0)
 
@@ -65,9 +66,10 @@ class TestNormPair:
             NormPair.from_ab(0.5, -0.1)
 
 
-def revert(F):
-    """One compressed series reverted as a one-row batch."""
-    return _kernels.revert_odd_batch(F[None, :])[0]
+def revert(a, b, K):
+    """The inverse series at one pair, truncated at order K, as a one-row
+    batch."""
+    return _kernels.revert_odd_batch([a], [b], (K - 1) // 2)[0]
 
 
 def evaluate(g, x):
@@ -134,7 +136,7 @@ class TestComputeC:
         c, finv, _ = compute_c_ab(pair, K=60)
         assert ASINH1 - 1e-12 < c < 1.0
         fser = f_bar(pair.a, pair.b, 60)
-        assert np.array_equal(finv, revert(fser))
+        assert np.array_equal(finv, revert(pair.a, pair.b, 60))
         for y in [0.1, 0.35, 0.6, 0.8]:
             lo, hi = 0.0, 0.95
             for _ in range(70):
@@ -160,6 +162,19 @@ class TestComputeC:
     def test_low_order_rejected(self):
         with pytest.raises(DomainError):
             compute_c_ab(NormPair(p=4.0, q=4.0 / 3.0), K=10)
+
+    def test_bisection_stopped_at_the_tail_radius_is_named(self, growing_rows, monkeypatch):
+        # the fitted tail is tiny below its radius 1/2 and inf from it on, so
+        # the bisection stops there with hhat(c) far below 1
+        monkeypatch.setattr(_kernels, "revert_odd_batch", growing_rows)
+        with pytest.raises(CertificationError) as exc:
+            compute_c_ab(NormPair(p=4.0, q=4.0 / 3.0), K=60)
+        msg = str(exc.value)
+        assert msg.startswith("bisection stopped at the fitted tail's radius, short of "
+                              "hhat(c) = 1: c = 0.500000, hhat(c) = 0.5000, tail at c ")
+        assert msg.endswith("fitted tail radius 0.500000")
+        # hhat alone, with no tail to stop it, reaches 1 near the interval's end
+        assert 0.99 < exc.value.uncertified < 1.0
 
     def test_certification_error_carries_uncertified_root(self):
         from pqnorm.errors import CertificationError
@@ -275,6 +290,21 @@ class TestDefectCertificate:
         assert not cert.ok
         assert cert.rho_certified == 0.0 and cert.hhat_at_rho_max == 0.0
 
+    def test_divergent_tail_fails_with_finite_radius(self, growing_rows, monkeypatch):
+        # where the fitted tail diverges at delta the certificate fails at
+        # radius 0 instead of evaluating hhat at -inf; the other points keep
+        # their hhat below 1
+        revert = _kernels.revert_odd_batch
+
+        def diverging_past_half(a, b, M):
+            return np.where((np.asarray(a) > 0.5)[:, None], growing_rows(a, b, M), revert(a, b, M))
+
+        monkeypatch.setattr(_kernels, "revert_odd_batch", diverging_past_half)
+        cert = certify_defect(inverse_coeff_grid(21, K=60))
+        assert not cert.ok and cert.h_err_max >= 0.5
+        assert cert.rho_certified == 0.0
+        assert 0.0 <= cert.hhat_at_rho_max <= 1.0
+
     def test_hhat_at_certified_point(self):
         x0 = ASINH1 / 1.00863
         worst = hhat_grid_max(inverse_coeff_grid(31, K=60), x0)
@@ -288,7 +318,7 @@ class TestDefectCertificate:
         pts = (np.array([0.0, 0.3, 0.85]), np.array([0.6, 0.1, 0.85]))
         a, b, G = inverse_coeff_grid(pts, K=60)
         for i in range(a.size):
-            h = np.abs(revert(f_bar(a[i], b[i], 60)))
+            h = np.abs(revert(a[i], b[i], 60))
             direct = evaluate(h, x0)
             batched = x0 * np.polynomial.polynomial.polyval(x0 * x0, np.abs(G[i]))
             assert batched == pytest.approx(direct, abs=1e-14)
@@ -404,16 +434,14 @@ class TestCoeffGrid:
             assert np.array_equal(cg.G, inverse_coeff_grid((hi, lo), K=60).G), n
 
     def test_int_grid_matches_the_full_reversion(self):
-        # the mirror moves a point only by reversion round-off
+        # the mirror is exact: (a, b) and (b, a) revert to the same bits
         cg = inverse_coeff_grid(101, K=60)
-        G = inverse_coeff_grid((cg.a, cg.b), K=60).G
-        assert np.max(np.abs(G - cg.G)) <= 1e-15
+        assert np.array_equal(inverse_coeff_grid((cg.a, cg.b), K=60).G, cg.G)
 
     def test_explicit_points_are_reverted_as_given(self):
         one = inverse_coeff_grid((0.25, 0.5), K=60)
         assert one.a.shape == one.b.shape == (1,) and one.G.shape == (1, 30)
-        F = f_bar_w_coeffs(np.array([0.25]), np.array([0.5]), 29)
-        assert np.array_equal(one.G, _kernels.revert_odd_batch(F))
+        assert np.array_equal(one.G, _kernels.revert_odd_batch([0.25], [0.5], 29))
 
     def test_unequal_shapes_are_domain_error(self):
         with pytest.raises(DomainError, match="shape"):
@@ -464,9 +492,9 @@ class TestSweep:
         rows = []
         revert_batch = _kernels.revert_odd_batch
 
-        def counting(F):
-            rows.append(F.shape[0])
-            return revert_batch(F)
+        def counting(a, b, M):
+            rows.append(np.size(a))
+            return revert_batch(a, b, M)
 
         monkeypatch.setattr(_kernels, "revert_odd_batch", counting)
         bounds_sweep(dual_pairs([2.0, 4.0, 8.0, math.inf]))
@@ -497,3 +525,43 @@ class TestSweep:
         last = reports[-1]
         assert last.ratio == pytest.approx(KRIVINE_RATIO, abs=1e-6)
         assert last.ratio < last.steinberg_ratio
+
+
+class TestInverseAccuracy:
+    """The inverse coefficients against 40-digit Lagrange inversion and
+    closed forms, and c_ab as the order grows."""
+
+    def test_against_mpmath_on_the_grid_and_at_order_200(self):
+        # absolute, on the 11 x 11 grid at K 60 (both orientations of each
+        # pair against one reference) and at four interior dyadic points at
+        # K 200, where float noise that grows with the degree would show
+        vals = np.linspace(0.0, 1.0, 11)
+        i, j = np.tril_indices(11)
+        cases = [(vals[i], vals[j], 60), (np.array([0.25, 0.5, 0.125, 0.75]),
+                                          np.array([0.75, 0.5, 0.375, 0.5]), 200)]
+        for a, b, K in cases:
+            ref = np.array([list(mp_inverse_coeffs(x, y, K - 1).values()) for x, y in zip(a, b)])
+            for pair in ((a, b), (b, a)):
+                assert np.max(np.abs(inverse_coeff_grid(pair, K).G - ref)) <= 1e-16, K
+
+    def test_sine_at_the_origin(self):
+        # f_bar is arcsin at a = b = 0: the inverse is sin at every order
+        for K in (60, 200, 400, 1000):
+            G = inverse_coeff_grid(([0.0], [0.0]), K).G[0]
+            ref = np.array([(-1) ** m / math.factorial(2 * m + 1) for m in range(G.size)])
+            assert np.max(np.abs(G - ref)) <= 1e-16, K
+
+    def test_mirrored_points_have_the_same_bits(self):
+        a, b = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21))
+        for K in (60, 200):
+            assert np.array_equal(inverse_coeff_grid((a, b), K).G, inverse_coeff_grid((b, a), K).G)
+
+    def test_c_ab_never_falls_as_the_order_grows(self):
+        # each order certifies, and the terms that replace the fitted tail
+        # as K grows weigh no more than it: the root of hhat + tail = 1
+        # never moves down
+        for p, q in [(math.inf, 1.0), (4.0, 4.0 / 3.0), (3.0, 1.5)]:
+            cs = [compute_c_ab(NormPair(p, q), K)[0] for K in (60, 100, 200, 300, 400)]
+            assert cs == sorted(cs), (p, q)
+        # Grothendieck's case, hhat = sinh: within 2 ulp of asinh(1) at K 400
+        assert abs(compute_c_ab(NormPair(math.inf, 1.0), 400)[0] - ASINH1) <= 2 * math.ulp(ASINH1)

@@ -109,6 +109,22 @@ class TestCorrelationReference:
         with pytest.raises(DomainError, match="correlation"):
             correlation_reference(0.2, 0.2, rho)
 
+    def test_array_of_rho_matches_scalar_calls(self):
+        # the series, the continuation past the cut tail and Gauss's sum at
+        # |rho| = 1, each entry bit for bit its scalar call, in any shape
+        rhos = np.array([[0.2, -0.5, 0.8], [0.99, -1.0, 1.0]])
+        for a in LATTICE:
+            for b in LATTICE:
+                ref = correlation_reference(a, b, rhos)
+                assert ref.shape == rhos.shape
+                for rho, got in zip(rhos.ravel(), ref.ravel()):
+                    assert got == correlation_reference(a, b, float(rho)), (a, b, rho)
+        assert type(correlation_reference(0.3, 0.7, 0.5)) is float
+
+    def test_one_entry_out_of_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="correlation"):
+            correlation_reference(0.2, 0.2, np.array([0.5, math.nan]))
+
     def test_lattice_keeps_the_series_value(self):
         # up to rho = 0.8 the check passes and leaves the K = 400 value alone
         for a in LATTICE:
@@ -264,8 +280,14 @@ class TestHermite:
 class TestNoiseCorrelationCrosscheck:
     @pytest.mark.parametrize("a,b,rho", [(0.0, 0.0, 0.5), (0.3, 0.7, 0.8), (0.5, 0.5, 0.2)])
     def test_coefficient_product_series(self, a, b, rho):
-        res = noise_correlation_crosscheck(a, b, rho)
+        [res] = noise_correlation_crosscheck(a, b, (rho,))
         assert abs(res.estimate - res.reference) < 1e-5
+
+    def test_one_result_per_rho_in_order(self):
+        res = noise_correlation_crosscheck(0.3, 0.7, (0.5, 0.8))
+        assert res == [noise_correlation_crosscheck(0.3, 0.7, (rho,))[0] for rho in (0.5, 0.8)]
+        assert [r.reference for r in res] == [correlation_reference(0.3, 0.7, rho)
+                                              for rho in (0.5, 0.8)]
 
 
 class TestContourMagnitude:
@@ -322,22 +344,26 @@ def test_observed_coefficient_decay_constant():
 def mp_inverse_coeffs(a, b, k_max):
     """{k: g_k} for odd k <= k_max, the Taylor coefficients of the inverse of
     f(z) = z 2F1((1-a)/2, (1-b)/2; 3/2; z^2), by Lagrange inversion in
-    40-digit mpmath: g_k = [z^(k-1)] (z / f(z))^k / k."""
+    40-digit mpmath: g_k = [z^(k-1)] (z / f(z))^k / k.  In w = z^2, with
+    Q(w) = f(z) / z and k = 2j + 1, that is [w^j] exp(-k log Q) / k; log Q
+    and each exp come from the derivative recurrences n L_n = n Q_n -
+    sum_{0<i<n} i L_i Q_{n-i} and n E_n = -k sum_{0<i<=n} i L_i E_{n-i}."""
     with mpmath.workdps(40):
         A, B = (1 - mpmath.mpf(a)) / 2, (1 - mpmath.mpf(b)) / 2
-        q = [mpmath.mpf(0)] * k_max  # f(z) / z in powers of z
-        c = mpmath.mpf(1)
-        for m in range(0, k_max, 2):
-            q[m] = c
-            c *= (A + m // 2) * (B + m // 2) / ((mpmath.mpf(3) / 2 + m // 2) * (m // 2 + 1))
-        h = [1 / q[0]]  # z / f(z)
-        for i in range(1, k_max):
-            h.append(-sum(q[j] * h[i - j] for j in range(1, i + 1)) / q[0])
-        power, out = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (k_max - 1), {}
-        for k in range(1, k_max + 1):
-            power = [sum(power[j] * h[i - j] for j in range(i + 1)) for i in range(k_max)]
-            if k % 2:
-                out[k] = float(power[k - 1] / k)
+        J = (k_max - 1) // 2
+        q = [mpmath.mpf(1)]  # Q, the coefficients of f(z) / z in w
+        for m in range(J):
+            q.append(q[m] * (A + m) * (B + m) / ((mpmath.mpf(3) / 2 + m) * (m + 1)))
+        iL = [mpmath.mpf(0)]  # n L_n, L = log Q
+        for n in range(1, J + 1):
+            iL.append(n * q[n] - mpmath.fsum(iL[i] * q[n - i] for i in range(1, n)))
+        out = {}
+        for j in range(J + 1):
+            k = 2 * j + 1
+            E = [mpmath.mpf(1)]  # exp(-k L) = Q^-k
+            for n in range(1, j + 1):
+                E.append(-k * mpmath.fsum(iL[i] * E[n - i] for i in range(1, n + 1)) / n)
+            out[k] = float(E[j] / k)
         return out
 
 

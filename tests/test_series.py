@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pqnorm._kernels import revert_odd_batch
-from pqnorm.errors import DomainError
-from pqnorm.krivine import _series_tail
+from pqnorm.krivine import _series_tail, f_bar_w_coeffs, inverse_coeff_grid
 from pqnorm.series import odd_horner, tail_fit
-
-
-def revert(F):
-    """One compressed series reverted as a one-row batch."""
-    return revert_odd_batch(np.asarray(F, dtype=np.float64)[None, :])[0]
 
 
 def evaluate(g, x):
@@ -30,21 +23,6 @@ def dense(g):
     c = np.zeros(2 * len(g))
     c[1::2] = g
     return c
-
-
-def compose(outer, inner):
-    """outer(inner(x)) of two compressed odd series, truncated at the
-    smaller order and returned compressed: the round-trip oracle for
-    reversion, by Horner over truncated dense Cauchy products."""
-    oc, ic = dense(outer), dense(inner)
-    K = min(oc.size, ic.size) - 1
-    ic = ic[: K + 1]
-    acc = np.zeros(K + 1)
-    for c in oc[K::-1]:
-        acc = np.convolve(acc, ic)[: K + 1]
-        acc[0] += c
-    assert np.all(acc[0::2] == 0.0)
-    return acc[1::2]
 
 
 def identity(M):
@@ -119,52 +97,18 @@ def scalar_tail_fit(g, K):
     return tail
 
 
-class TestType:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            revert(np.array([1.0, math.nan]))
-
-
-class TestRevert:
-    def test_identity(self):
-        assert np.allclose(revert(identity(3)), identity(3))
-
-    def test_arcsin_reverts_to_sin(self):
-        g = revert(arcsin_series(7))
-        assert g[1] == pytest.approx(-1.0 / 6.0, rel=1e-13)
-        assert g[2] == pytest.approx(1.0 / 120.0, rel=1e-12)
-        assert np.allclose(g, sin_series(7), atol=1e-15)
-
-    def test_x_plus_x_cubed(self):
-        # hand composition: (x - x^3) + (x - x^3)^3 = x + O(x^5)
-        s = np.array([1.0, 1.0])
-        g = revert(s)
-        assert g[1] == pytest.approx(-1.0, rel=1e-14)
-        assert np.allclose(compose(s, g), identity(1), atol=1e-14)
-
-    def test_precondition(self):
-        with pytest.raises(DomainError):
-            revert(np.array([]))
-        with pytest.raises(DomainError):
-            revert(np.array([0.0, 1.0]))
-        with pytest.raises(DomainError):
-            revert(np.array([[1.0, 0.5]]))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_round_trip_properties(self, seed):
-        # revert(revert(s)) = s and compose(s, revert(s)) = id for
-        # well-conditioned odd series: |s1| in [0.5, 2], decaying higher
-        # terms so the inverse coefficients stay O(1)
-        rng = np.random.default_rng(seed)
-        M = 7
-        s = np.zeros(M + 1)
-        s[0] = math.copysign(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
-        s[1:] = s[0] * rng.uniform(-0.5, 0.5, M) * 0.3 ** np.arange(2, 2 * M + 1, 2)
-        g = revert(s)
-        assert np.allclose(revert(g), s, atol=1e-10)
-        assert np.allclose(compose(s, g), identity(M), atol=1e-10)
-        # per-coefficient round-trip residual at unit scale
-        assert np.max(np.abs(compose(g, s) - identity(M))) < 1e-12
+class TestRoundTrip:
+    @pytest.mark.parametrize("K", [60, 101, 201])
+    def test_f_bar_of_its_inverse_is_the_identity(self, K):
+        # f_bar(f_bar^{-1}(y)) = y to 2 ulp on the identity suite's lattice,
+        # where both truncated series have converged
+        lattice = np.array([0.0, 0.3, 0.7, 1.0])
+        a, b = (v.ravel() for v in np.meshgrid(lattice, lattice, indexing="ij"))
+        M = (K - 1) // 2
+        F, G = f_bar_w_coeffs(a, b, 2 * M), inverse_coeff_grid((a, b), K).G
+        for y in (0.1, 0.3, 0.5):
+            x = odd_horner(G, y)
+            assert np.max(np.abs(odd_horner(F, x) - y)) <= 2 * np.spacing(y)
 
 
 class TestAbsMap:
