@@ -156,7 +156,7 @@ def _suite_conditions(args):
                      at_a=m.at_a, at_b=m.at_b)
     yield _check("defect-certificate", cert.ok, t_odd=cert.t_odd, delta=cert.delta,
                  h_err_max=cert.h_err_max, rho_certified=cert.rho_certified,
-                 hhat_at_rho_max=cert.hhat_at_rho_max, grid_points=cert.grid_size)
+                 hhat_at_rho_max=cert.hhat_at_rho_max, grid_points=args.grid ** 2)
     x0 = math.asinh(1.0) / 1.00863
     worst = krivine.hhat_grid_max(cg, x0)
     yield _check("hhat-at-certified-point", worst <= 1.0 + 1e-9, x0=x0, max_hhat=worst)

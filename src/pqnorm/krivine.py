@@ -206,7 +206,8 @@ def _report(pair: NormPair, K: int, c: float, g: np.ndarray, tail: float) -> Bou
 
 class CoeffGrid(NamedTuple):
     """Inverse-series coefficients on an (a, b) grid: G[i, m] is the
-    coefficient of y^(2m+1) in the inverse series at (a[i], b[i])."""
+    coefficient of y^(2m+1) in the inverse series at (a[i], b[i]); the int
+    grid holds only its a <= b triangle."""
 
     a: np.ndarray
     b: np.ndarray
@@ -216,37 +217,34 @@ class CoeffGrid(NamedTuple):
 def inverse_coeff_grid(grid, K: int = CERT_ORDER) -> CoeffGrid:
     """Inverse-series coefficients at every point of ``grid``, as a CoeffGrid.
 
-    ``grid`` is an integer n (any ``numbers.Integral`` but a bool: the n x n
-    uniform grid on [0,1]^2, point (i, j) at row i*n + j with a = vals[i],
-    b = vals[j]) or explicit (a, b) arrays of one shape.  The certification
-    functions below take the result, so one reversion can serve several of
-    them.
+    ``grid`` is an integer n (any ``numbers.Integral`` but a bool) or
+    explicit (a, b) arrays of one shape.  The certification functions below
+    take the result, so one reversion can serve several of them.
 
-    f_bar is symmetric in a <-> b, and so is the kernel's arithmetic: the
-    int grid reverts only its a >= b triangle, n(n+1)/2 rows, and writes
-    each row to both (a, b) and (b, a), with the bits a reversion of every
-    point gives.  Explicit arrays revert every point as given.
+    f_bar is symmetric in a <-> b, and so is the kernel's arithmetic: (a, b)
+    and (b, a) revert to the same bits.  So the int grid is the a <= b
+    triangle of the n x n uniform grid on [0,1]^2, n(n+1)/2 points in
+    row-major order (a = vals[i], b = vals[j], i <= j), and every check on
+    it gives what the full square gives.
     """
     if K < 1:
         raise DomainError("order K must be >= 1")
-    M = (K - 1) // 2
     if isinstance(grid, (bool, np.bool_)):
         raise DomainError(f"grid {grid!r} is not a grid size")
     if isinstance(grid, numbers.Integral):
-        grid = int(grid)
-        if grid < 1:
-            raise DomainError(f"grid {grid!r} has no points")
-        vals = np.linspace(0.0, 1.0, grid)
-        i, j = np.tril_indices(grid)  # i >= j, so a >= b
-        G = np.empty((grid, grid, M + 1))
-        G[i, j] = G[j, i] = _kernels.revert_odd_batch(vals[i], vals[j], M)
-        a, b = np.meshgrid(vals, vals, indexing="ij")
-        return CoeffGrid(a.ravel(), b.ravel(), G.reshape(-1, M + 1))
+        n = int(grid)
+        if n < 1:
+            raise DomainError(f"grid {n!r} has no points")
+        vals = np.linspace(0.0, 1.0, n)
+        # i <= j: the square's first argmin (row-major) lies in this triangle
+        # and comes first in it too, so check_conditions reports the same point
+        i, j = np.triu_indices(n)
+        grid = (vals[i], vals[j])
     a, b = (np.asarray(v, dtype=np.float64) for v in grid)
     if a.size == 0:
         raise DomainError(f"grid {grid!r} has no points")
     a, b = a.ravel(), b.ravel()
-    return CoeffGrid(a, b, _kernels.revert_odd_batch(a, b, M))
+    return CoeffGrid(a, b, _kernels.revert_odd_batch(a, b, (K - 1) // 2))
 
 
 @dataclass
@@ -309,7 +307,6 @@ class DefectCertificate:
     hhat_at_rho_max: float
     conditions: ConditionsReport
     ok: bool
-    grid_size: int
 
 
 def _odd_tail(fit: series.TailFit, M: int, x: float) -> np.ndarray:
@@ -350,7 +347,6 @@ def certify_defect(cg: CoeffGrid) -> DefectCertificate:
         hhat_at_rho_max=float(np.max(hhat_at_rho)),
         conditions=conds,
         ok=ok,
-        grid_size=int(cg.a.size),
     )
 
 

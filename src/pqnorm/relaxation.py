@@ -13,6 +13,10 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .krivine import NormPair
 
+_CP_MAX_ITERS, _CP_TOL = 10_000, 1e-12  # solve_cp: sweeps, relative stall gain
+_ASCENT_MAX_ITERS, _ASCENT_TOL = 500, 1e-14  # holder_ascent: steps, relative stall gain
+_RESTARTS = 64  # brute_force_norm's Gaussian starts
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -118,8 +122,7 @@ def _initial_V(rng, n: int, d: int, p: float) -> np.ndarray:
     return Vn if math.isinf(p) else V / lp_norm(norms, p)
 
 
-def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
-             max_iters: int = 10_000, tol: float = 1e-12, seed: int = 0) -> RelaxationSolution:
+def solve_cp(inst: ProblemInstance, d: Optional[int] = None, seed: int = 0) -> RelaxationSolution:
     """Alternating maximization of <A, U V^T> under the row-norm power
     constraints sum ||u^i||^{q*} <= 1 and sum ||v^j||^p <= 1.
 
@@ -130,7 +133,7 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
     objective (O'Donoghue & Candes 2015, restart on decrease).  So the
     objective is nondecreasing along iterations; ``fallbacks`` counts the
     redone steps.  The solver stops once the objective stalls (gain below
-    tol relative).
+    1e-12 relative) or after 10,000 iterations.
 
     The relaxation is convex for p, q* >= 2, so it has an optimal solution
     of rank about sqrt(2(m+n)), and at that rank the second-order points of
@@ -168,7 +171,7 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
     fallbacks = 0
     converged = False
     obj_prev = -math.inf
-    for it in range(max_iters):
+    for it in range(_CP_MAX_ITERS):
         U, V_new, obj_u, obj = sweep(2.0 * V - V_prev)
         if obj < obj_prev:
             U, V_new, obj_u, obj = sweep(V)
@@ -182,7 +185,7 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
             raise NumericalError("objective decreased across a block update",
                                  dump={"U": U, "V": V, "iteration": it})
         trace.append(obj)
-        if obj - obj_prev < tol * size:
+        if obj - obj_prev < _CP_TOL * size:
             converged = True
             break
         obj_prev = obj
@@ -196,14 +199,13 @@ def solve_cp(inst: ProblemInstance, d: Optional[int] = None,
                               iterations=len(trace), fallbacks=fallbacks, objective_trace=trace)
 
 
-def holder_ascent(A: np.ndarray, pair: NormPair, x0: np.ndarray,
-                  max_iters: int = 500, tol: float = 1e-14) -> tuple:
+def holder_ascent(A: np.ndarray, pair: NormPair, x0: np.ndarray) -> tuple:
     """Nonlinear power iteration x <- psi_{p*}(A^T psi_q(A x)) on the unit
     p-sphere; each half-step is a block optimum so ||Ax||_q ascends."""
     p, q, ps = pair.p, pair.q, pair.p_star
     x = x0 / max(lp_norm(x0, p), 1e-300)
     val_prev = -math.inf
-    for _ in range(max_iters):
+    for _ in range(_ASCENT_MAX_ITERS):
         y = holder_dual(A @ x, q)
         z = A.T @ y
         if math.isinf(p):
@@ -213,7 +215,7 @@ def holder_ascent(A: np.ndarray, pair: NormPair, x0: np.ndarray,
             x = holder_dual(z, ps)
             x /= max(lp_norm(x, p), 1e-300)
         val = lp_norm(A @ x, q)
-        if val - val_prev < tol * max(1.0, val):
+        if val - val_prev < _ASCENT_TOL * max(1.0, val):
             break
         val_prev = val
     return x, lp_norm(A @ x, q)
@@ -235,7 +237,7 @@ def _enumerate_sign_norm(A: np.ndarray, q: float) -> float:
     return best
 
 
-def brute_force_norm(inst: ProblemInstance, restarts: int = 64, seed: int = 0) -> float:
+def brute_force_norm(inst: ProblemInstance, seed: int = 0) -> float:
     """Lower bound on the true p->q norm.
 
     p = inf with n <= 20 is enumerated exactly over the sign cube; anything
@@ -246,7 +248,7 @@ def brute_force_norm(inst: ProblemInstance, restarts: int = 64, seed: int = 0) -
     if math.isinf(pair.p) and n <= 20:
         return _enumerate_sign_norm(A, pair.q)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB0,)))
-    starts = [rng.standard_normal(n) for _ in range(restarts)]
+    starts = [rng.standard_normal(n) for _ in range(_RESTARTS)]
     starts += [np.sign(rng.standard_normal(n)) for _ in range(4)]
     return max(holder_ascent(A, pair, x0)[1] for x0 in starts)
 

@@ -618,7 +618,15 @@ class TestConditionsCommands:
             rows.clear()
             code, _ = run_main(argv, capsys)
             assert code == 0
-            assert rows == [231]  # the a >= b triangle of the 21 x 21 grid
+            assert rows == [231]  # the a <= b triangle of the 21 x 21 grid
+
+    @pytest.mark.parametrize("n", [1, 2, 21])
+    def test_grid_points_is_the_whole_square(self, n, capsys):
+        # only the a <= b triangle is reverted, but by the exact mirror the
+        # certificate covers all n^2 points
+        assert main(["verify", "conditions", "--grid", str(n)]) == 0
+        recs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [r["grid_points"] for r in recs if r["target"] == "defect-certificate"] == [n * n]
 
     @pytest.mark.parametrize("argv", [["verify", "conditions", "--order", "28"],
                                       ["verify", "all"], ["verify", "conditions"]])

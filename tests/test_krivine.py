@@ -385,7 +385,7 @@ class TestCoeffGrid:
     def test_tuple_compatible(self, grid21):
         assert isinstance(grid21, CoeffGrid)
         a, b, G = grid21
-        assert grid21[0].size == a.size == b.size == G.shape[0] == 441
+        assert grid21[0].size == a.size == b.size == G.shape[0] == 231  # 21 * 22 / 2
         assert G.shape[1] == 30
 
     @pytest.mark.parametrize("x", [math.asinh(0.974203), 0.5, 1.2])
@@ -395,9 +395,10 @@ class TestCoeffGrid:
         got = odd_tail(absG, x)
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         assert np.array_equal(got == 0.0, ref == 0.0)
-        # the a = 1 and b = 1 rows have fewer than two significant entries
-        assert np.count_nonzero(ref == 0.0) == 41
-        assert np.count_nonzero(np.isinf(ref)) == (303 if x == 1.2 else 0)
+        # the b = 1 rows (a = 1 only at b = 1 in the a <= b triangle) have
+        # fewer than two significant entries
+        assert np.count_nonzero(ref == 0.0) == 21
+        assert np.count_nonzero(np.isinf(ref)) == (158 if x == 1.2 else 0)
         fit = np.isfinite(ref) & (ref != 0.0)
         assert np.all(np.abs(got[fit] - ref[fit]) <= 1e-15 * ref[fit])
 
@@ -423,20 +424,33 @@ class TestCoeffGrid:
         assert hhat_grid_max(grid21, x0) == hhat_grid_max(inverse_coeff_grid(21, K=60), x0)
 
     def test_explicit_points_match_the_int_grid(self):
-        # the int grid mirrors its a >= b triangle: every point, bit for
-        # bit, is the explicit reversion at (max(a, b), min(a, b))
+        # the int grid is its a <= b triangle in row-major order: bit for
+        # bit, the explicit reversion of the triu arrays
         for n in (1, 2, 3, 21, 101):
             cg = inverse_coeff_grid(n, K=60)
             vals = np.linspace(0.0, 1.0, n)
-            assert np.array_equal(cg.a, np.repeat(vals, n))
-            assert np.array_equal(cg.b, np.tile(vals, n))
-            hi, lo = np.maximum(cg.a, cg.b), np.minimum(cg.a, cg.b)
-            assert np.array_equal(cg.G, inverse_coeff_grid((hi, lo), K=60).G), n
+            i, j = np.triu_indices(n)
+            assert np.array_equal(cg.a, vals[i])
+            assert np.array_equal(cg.b, vals[j])
+            assert np.array_equal(cg.G, inverse_coeff_grid((vals[i], vals[j]), K=60).G), n
 
     def test_int_grid_matches_the_full_reversion(self):
         # the mirror is exact: (a, b) and (b, a) revert to the same bits
         cg = inverse_coeff_grid(101, K=60)
-        assert np.array_equal(inverse_coeff_grid((cg.a, cg.b), K=60).G, cg.G)
+        assert np.array_equal(inverse_coeff_grid((cg.b, cg.a), K=60).G, cg.G)
+
+    @pytest.mark.parametrize("K", [60, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 21, 31, 101])
+    def test_triangle_checks_equal_the_full_square(self, n, K):
+        # every check on the a <= b triangle reports what it reports on the
+        # explicit n x n square, down to the point of each worst margin
+        vals = np.linspace(0.0, 1.0, n)
+        tri = inverse_coeff_grid(n, K=K)
+        full = inverse_coeff_grid((np.repeat(vals, n), np.tile(vals, n)), K=K)
+        assert check_conditions(tri) == check_conditions(full)
+        assert certify_defect(tri) == certify_defect(full)
+        x0 = ASINH1 / 1.00863
+        assert hhat_grid_max(tri, x0) == hhat_grid_max(full, x0)
 
     def test_explicit_points_are_reverted_as_given(self):
         one = inverse_coeff_grid((0.25, 0.5), K=60)
